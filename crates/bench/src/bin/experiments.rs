@@ -9,8 +9,6 @@
 //!
 //! Flags: `--quick` (smaller runs), `--smoke` (tiny sanity runs),
 //! `--jobs N` (worker threads; default: available parallelism),
-//! `--shards N` (timing-shard threads inside each simulation; results are
-//! byte-identical at any N; also honoured as `BANSHEE_SHARDS=N`),
 //! `--no-store` (disable the persistent result store), `--no-snapshot`
 //! (disable warmed-state snapshot capture/resume; also honoured as the
 //! `BANSHEE_NO_SNAPSHOT=1` environment variable), `--freq-backend B`
@@ -75,8 +73,6 @@ struct RunSummary {
     instructions_per_run: u64,
     cores: usize,
     jobs: usize,
-    shards_requested: usize,
-    shards_effective: usize,
     store_enabled: bool,
     snapshots_enabled: bool,
     telemetry_enabled: bool,
@@ -138,12 +134,12 @@ fn print_all(tables: Vec<Table>) {
 
 fn print_usage() {
     println!(
-        "usage: experiments [EXPERIMENT ...] [--quick | --smoke] [--jobs N] [--shards N] \
+        "usage: experiments [EXPERIMENT ...] [--quick | --smoke] [--jobs N] \
          [--no-store] [--no-snapshot] [--telemetry DIR] [--telemetry-interval N] \
          [--freq-backend B]"
     );
     println!(
-        "       experiments scenario FILE... [--quick | --smoke] [--jobs N] [--shards N] \
+        "       experiments scenario FILE... [--quick | --smoke] [--jobs N] \
          [--no-store] [--no-snapshot] [--telemetry DIR] [--telemetry-interval N] \
          [--freq-backend B]"
     );
@@ -164,11 +160,6 @@ fn print_usage() {
     println!("  --smoke     tiny sanity runs (seconds, shapes only)");
     println!("  --jobs N    run N simulations in parallel (default: available");
     println!("              parallelism; results are identical at any N)");
-    println!("  --shards N  split each simulation's DRAM-channel timing across");
-    println!("              N threads (default 1 = sequential; results are");
-    println!("              byte-identical at any N). Clamped, with a notice, so");
-    println!("              jobs x shards never oversubscribes the host.");
-    println!("              (BANSHEE_SHARDS=N does the same)");
     println!("  --no-store  disable the persistent result store (by default,");
     println!("              finished cells are cached under");
     println!("              target/experiments/store/ and re-runs resume)");
@@ -204,7 +195,6 @@ struct CliArgs {
     quick: bool,
     smoke: bool,
     jobs: usize,
-    shards: usize,
     no_store: bool,
     no_snapshot: bool,
     telemetry_dir: Option<PathBuf>,
@@ -222,7 +212,6 @@ fn parse_freq_backend(
 
 fn parse_args(args: &[String]) -> Result<CliArgs, String> {
     let mut cli = CliArgs {
-        shards: 1,
         no_snapshot: std::env::var("BANSHEE_NO_SNAPSHOT").is_ok_and(|v| v == "1"),
         telemetry_dir: std::env::var("BANSHEE_TELEMETRY")
             .ok()
@@ -230,13 +219,6 @@ fn parse_args(args: &[String]) -> Result<CliArgs, String> {
             .map(PathBuf::from),
         ..CliArgs::default()
     };
-    if let Ok(value) = std::env::var("BANSHEE_SHARDS") {
-        cli.shards = value
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or_else(|| format!("invalid BANSHEE_SHARDS value '{value}'"))?;
-    }
     if let Ok(value) = std::env::var("BANSHEE_TELEMETRY_INTERVAL") {
         cli.telemetry_interval = Some(
             value
@@ -270,26 +252,6 @@ fn parse_args(args: &[String]) -> Result<CliArgs, String> {
             cli.jobs = value
                 .parse()
                 .map_err(|_| format!("invalid --jobs value '{value}'"))?;
-        } else if arg == "--shards" {
-            i += 1;
-            let value = args
-                .get(i)
-                .ok_or_else(|| "--shards requires a value".to_string())?;
-            cli.shards = value
-                .parse::<usize>()
-                .ok()
-                .filter(|&n| n >= 1)
-                .ok_or_else(|| {
-                    format!("invalid --shards value '{value}' (need an integer >= 1)")
-                })?;
-        } else if let Some(value) = arg.strip_prefix("--shards=") {
-            cli.shards = value
-                .parse::<usize>()
-                .ok()
-                .filter(|&n| n >= 1)
-                .ok_or_else(|| {
-                    format!("invalid --shards value '{value}' (need an integer >= 1)")
-                })?;
         } else if arg == "--telemetry" {
             i += 1;
             let value = args
@@ -324,8 +286,8 @@ fn parse_args(args: &[String]) -> Result<CliArgs, String> {
             cli.freq_backend = Some(parse_freq_backend(value, "--freq-backend")?);
         } else if arg.starts_with('-') {
             return Err(format!(
-                "unknown flag '{arg}'; valid flags: --quick, --smoke, --jobs N, --shards N, \
-                 --no-store, --no-snapshot, --telemetry DIR, --telemetry-interval N, \
+                "unknown flag '{arg}'; valid flags: --quick, --smoke, --jobs N, --no-store, \
+                 --no-snapshot, --telemetry DIR, --telemetry-interval N, \
                  --freq-backend B, --help"
             ));
         } else {
@@ -357,7 +319,6 @@ fn main() {
         quick,
         smoke,
         jobs,
-        shards,
         no_store,
         no_snapshot,
         telemetry_dir,
@@ -403,7 +364,6 @@ fn main() {
     };
     let mut runner = Runner::new(scale)
         .with_jobs(jobs)
-        .with_shards(shards)
         .with_progress(true)
         .with_snapshots(!no_snapshot);
     if let Some(backend) = freq_backend {
@@ -426,7 +386,7 @@ fn main() {
         );
     }
     eprintln!(
-        "running {} at {:?} scale ({} instructions per run, {} cores) with {} worker{}{}{}",
+        "running {} at {:?} scale ({} instructions per run, {} cores) with {} worker{}{}",
         if scenario_mode {
             format!("scenario {}", scenario_files.join(", "))
         } else {
@@ -437,11 +397,6 @@ fn main() {
         scale.cores(),
         effective_jobs,
         if effective_jobs == 1 { "" } else { "s" },
-        if shards > 1 {
-            format!(", {shards} timing shards per cell")
-        } else {
-            String::new()
-        },
         if no_store {
             ", result store disabled".to_string()
         } else {
@@ -622,11 +577,6 @@ fn main() {
         instructions_per_run: scale.instructions(),
         cores: scale.cores(),
         jobs: effective_jobs,
-        shards_requested: shards,
-        shards_effective: match runner.counters.effective_shards() {
-            0 => shards, // no cell simulated; the request was never clamped
-            effective => effective,
-        },
         store_enabled: !no_store,
         snapshots_enabled: !no_snapshot && !no_store,
         telemetry_enabled: telemetry_dir.is_some(),

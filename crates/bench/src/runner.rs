@@ -110,9 +110,8 @@ pub struct CellReport {
     pub duration: Duration,
     /// Wall-clock time spent purely simulating (warm-up plus measured
     /// phase), excluding snapshot I/O and image encode/decode. This is the
-    /// denominator for honest throughput comparisons — e.g. sharded vs.
-    /// sequential — where snapshot traffic would otherwise dilute the
-    /// speedup. Zero for store hits.
+    /// denominator for honest throughput comparisons, where snapshot traffic
+    /// would otherwise dilute the simulator's instr/s. Zero for store hits.
     pub sim_duration: Duration,
     /// Instructions simulated for this cell in this process: warm-up plus
     /// measured phase for cold runs, the measured phase alone for
@@ -194,7 +193,6 @@ pub struct RunnerCounters {
     resumed_warm: Arc<AtomicUsize>,
     simulated_micros: Arc<AtomicU64>,
     sim_only_micros: Arc<AtomicU64>,
-    effective_shards: Arc<AtomicUsize>,
     cells: Arc<Mutex<Vec<CellRecord>>>,
     profiles: ProfileCollector,
 }
@@ -233,12 +231,6 @@ impl RunnerCounters {
     /// (snapshot I/O excluded; see [`CellReport::sim_duration`]).
     pub fn sim_only_time(&self) -> Duration {
         Duration::from_micros(self.sim_only_micros.load(Ordering::Relaxed))
-    }
-
-    /// The per-cell shard count the most recent batch actually used, after
-    /// the oversubscription clamp (zero before any batch simulates).
-    pub fn effective_shards(&self) -> usize {
-        self.effective_shards.load(Ordering::Relaxed)
     }
 
     /// Per-cell wall-clock records, in completion order (store hits first).
@@ -310,13 +302,6 @@ pub struct Runner {
     /// Worker threads used for batched cells; `0` selects the host's
     /// available parallelism.
     pub jobs: usize,
-    /// Timing-shard threads *inside* each simulated cell (`--shards`):
-    /// `1` (the default) runs the proven sequential loop, `N > 1` splits
-    /// DRAM-channel timing across `N - 1` workers plus the coordinator.
-    /// Results are byte-identical either way. Clamped per batch so
-    /// `jobs x shards` never oversubscribes the host (see
-    /// [`Runner::effective_parallelism`]).
-    pub shards: usize,
     /// Directory of the persistent result store; `None` disables caching
     /// (every cell is recomputed).
     pub store_dir: Option<PathBuf>,
@@ -347,7 +332,6 @@ impl Runner {
             scale,
             seed: 42,
             jobs: 0,
-            shards: 1,
             store_dir: None,
             snapshots: true,
             progress: false,
@@ -367,14 +351,6 @@ impl Runner {
     /// Use `jobs` worker threads (`0` = available parallelism).
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs;
-        self
-    }
-
-    /// Use `shards` timing-shard threads inside each simulated cell
-    /// (`1` or `0` = sequential). Results are byte-identical across shard
-    /// counts; this only changes wall-clock time.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
         self
     }
 
@@ -406,25 +382,18 @@ impl Runner {
         self
     }
 
-    /// Resolve the `(jobs, shards)` pair a batch of `batch_size` simulated
-    /// cells will actually use. `jobs = 0` resolves to the host's available
-    /// parallelism (then drops to the batch size — idle workers would only
-    /// starve shards of threads). If `jobs x shards` still exceeds the
-    /// available parallelism, **shards** are scaled down — cell-level
-    /// parallelism wins because cells are embarrassingly parallel while
-    /// shard speedup is sublinear. The clamp never lifts `shards` above the
-    /// requested value and never touches an explicit `jobs` request.
-    pub fn effective_parallelism(&self, batch_size: usize) -> (usize, usize) {
-        let available = JobPool::available_workers();
-        let jobs = if self.jobs == 0 { available } else { self.jobs };
-        let jobs = jobs.min(batch_size.max(1));
-        let shards = self.shards.max(1);
-        let shards = if jobs.saturating_mul(shards) > available {
-            (available / jobs).max(1).min(shards)
+    /// Resolve the worker count a batch of `batch_size` simulated cells will
+    /// actually use. Cells are the unit of parallelism: `jobs = 0` resolves
+    /// to the host's available parallelism, and any request drops to the
+    /// batch size, since a worker without a cell would only sit idle. An
+    /// explicit `jobs` request is never raised.
+    pub fn effective_parallelism(&self, batch_size: usize) -> usize {
+        let jobs = if self.jobs == 0 {
+            JobPool::available_workers()
         } else {
-            shards
+            self.jobs
         };
-        (jobs, shards)
+        jobs.min(batch_size.max(1))
     }
 
     /// The base configuration for a design at this scale.
@@ -546,7 +515,6 @@ impl Runner {
         slot: usize,
         cell: &PreparedCell,
         store: Option<&ResultStore>,
-        shards: usize,
     ) -> (SimResult, bool, u64, Duration) {
         let name = cell.factory.name();
         let snap_key = System::warmed_key_material(&cell.config, &cell.workload_ident);
@@ -560,7 +528,6 @@ impl Runner {
                         &image,
                     ) {
                         Ok((mut system, executed)) => {
-                            system.set_shards(shards);
                             self.attach_telemetry(&mut system, slot, cell, Some(executed));
                             let sim_start = Instant::now();
                             let result = system.run_measured(&name, Some(executed));
@@ -577,7 +544,6 @@ impl Runner {
             }
         }
         let mut system = System::new(cell.config.clone(), &*cell.factory);
-        system.set_shards(shards);
         self.attach_telemetry(&mut system, slot, cell, None);
         let sim_start = Instant::now();
         let warmed = system.warm_up();
@@ -708,21 +674,7 @@ impl Runner {
             return results.into_iter().map(|r| r.unwrap()).collect();
         }
 
-        let (jobs, shards) = self.effective_parallelism(misses.len());
-        if shards < self.shards.max(1) {
-            eprintln!(
-                "[exec] clamped --shards {} to {}: {} job(s) x {} shard(s) would oversubscribe {} available thread(s)",
-                self.shards,
-                shards,
-                jobs,
-                self.shards,
-                JobPool::available_workers(),
-            );
-        }
-        self.counters
-            .effective_shards
-            .store(shards, Ordering::Relaxed);
-        let pool = JobPool::new(jobs);
+        let pool = JobPool::new(self.effective_parallelism(misses.len()));
         let miss_cells: Vec<PreparedCell> = misses.iter().map(|&i| cells[i].clone()).collect();
         // Set by the worker before it returns, read by the (same-thread)
         // completion callback: whether each miss resumed from a warmed
@@ -737,7 +689,7 @@ impl Runner {
             miss_cells,
             |index, cell| {
                 let (result, resumed, instructions, sim_time) =
-                    self.simulate_cell(misses[index], cell, store.as_ref(), shards);
+                    self.simulate_cell(misses[index], cell, store.as_ref());
                 if resumed {
                     resumed_flags[index].store(true, Ordering::Relaxed);
                 }
@@ -770,7 +722,7 @@ impl Runner {
                 };
                 if self.progress {
                     eprintln!(
-                        "[exec] {}/{} {} x {} ({:.2}s, {:.2}s sim, {:.2} Minstr/s{}{}){}",
+                        "[exec] {}/{} {} x {} ({:.2}s, {:.2}s sim, {:.2} Minstr/s{}){}",
                         completion.completed,
                         completion.total,
                         report.workload,
@@ -778,7 +730,6 @@ impl Runner {
                         completion.duration.as_secs_f64(),
                         report.sim_duration.as_secs_f64(),
                         report.instr_per_sec() / 1e6,
-                        if shards > 1 { ", sharded" } else { "" },
                         if report.resumed_warm { ", warmed" } else { "" },
                         if completion.panicked { " PANICKED" } else { "" },
                     );
@@ -1029,35 +980,25 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Satellite: `jobs x shards` must never exceed the host's available
-    /// parallelism — the clamp scales shards down, never jobs, and never
-    /// scales anything up.
+    /// Cells are the only unit of parallelism: `jobs = 0` resolves to the
+    /// host's available parallelism clamped to the batch, and an explicit
+    /// request is clamped to the batch but never raised.
     #[test]
-    fn shard_clamp_never_oversubscribes() {
+    fn jobs_resolve_to_at_most_the_batch_size() {
         let available = JobPool::available_workers();
-        let greedy = Runner::new(ExperimentScale::Smoke)
-            .with_jobs(1)
-            .with_shards(available + 7);
-        let (jobs, shards) = greedy.effective_parallelism(4);
-        assert_eq!(jobs, 1);
-        assert_eq!(shards, available, "one job gets every available thread");
+        let auto = Runner::new(ExperimentScale::Smoke);
+        assert_eq!(auto.effective_parallelism(64), available.min(64));
+        assert_eq!(auto.effective_parallelism(1), 1);
 
-        // An in-budget request passes through untouched.
-        let modest = Runner::new(ExperimentScale::Smoke)
-            .with_jobs(available)
-            .with_shards(1);
-        assert_eq!(modest.effective_parallelism(64), (available, 1));
+        let explicit = Runner::new(ExperimentScale::Smoke).with_jobs(available + 7);
+        assert_eq!(
+            explicit.effective_parallelism(available + 100),
+            available + 7
+        );
+        assert_eq!(explicit.effective_parallelism(2), 2);
 
-        // `jobs = 0` resolves to available parallelism but drops to the
-        // batch size, freeing threads for shards.
-        let auto = Runner::new(ExperimentScale::Smoke).with_shards(available);
-        let (jobs, shards) = auto.effective_parallelism(1);
-        assert_eq!(jobs, 1);
-        assert_eq!(shards, available);
-
-        // Shards are never raised above the request.
         let seq = Runner::new(ExperimentScale::Smoke).with_jobs(1);
-        assert_eq!(seq.effective_parallelism(3), (1, 1));
+        assert_eq!(seq.effective_parallelism(3), 1);
     }
 
     #[test]

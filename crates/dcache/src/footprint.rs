@@ -65,7 +65,8 @@ impl FootprintPredictor {
     /// line that triggered the fill counts as touched.
     pub fn on_fill(&mut self, page: PageNum, trigger_line_index: u64) {
         self.tracker.lane_clear(page.raw());
-        self.tracker.lane_touch(page.raw(), trigger_line_index, false);
+        self.tracker
+            .lane_touch(page.raw(), trigger_line_index, false);
     }
 
     /// Record an access to a cached page.

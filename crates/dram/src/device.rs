@@ -177,49 +177,6 @@ impl DramDevice {
         }
     }
 
-    /// Detach the device's channels for sharded execution, leaving the
-    /// device with only its issue-side accounting (logical traffic, config,
-    /// address routing). While detached, [`DramDevice::access`] must not be
-    /// called; the coordinator routes operations with
-    /// [`DramDevice::channel_for`] + [`DramDevice::note_issued`] and the
-    /// workers drive the channels directly.
-    pub fn detach_channels(&mut self) -> Vec<Channel> {
-        std::mem::take(&mut self.channels)
-    }
-
-    /// Re-attach channels detached by [`DramDevice::detach_channels`], in
-    /// their original order.
-    pub fn attach_channels(&mut self, channels: Vec<Channel>) {
-        assert!(
-            self.channels.is_empty(),
-            "attach_channels on a device that still owns channels"
-        );
-        assert_eq!(
-            channels.len(),
-            self.config.channels,
-            "channel count must match the device configuration"
-        );
-        self.channels = channels;
-    }
-
-    /// Issue-side half of [`DramDevice::access`], used by the sharded
-    /// coordinator: record the logical traffic of an operation whose channel
-    /// work happens on a worker. `rounded_bytes` must already be rounded
-    /// with [`crate::DramConfig::round_to_min_transfer`] (the coordinator
-    /// rounds once and reuses the value for plan accounting).
-    pub fn note_issued(&mut self, class: TrafficClass, rounded_bytes: u64) {
-        self.traffic.add(self.kind, class, rounded_bytes);
-    }
-
-    /// Merge the service-side accounting a shard worker accumulated while
-    /// it owned some of this device's channels. Plain sums, so merging the
-    /// per-worker deltas in any fixed order reproduces the sequential
-    /// totals exactly.
-    pub fn merge_serviced(&mut self, access_count: u64, total_latency: u64) {
-        self.access_count += access_count;
-        self.total_latency += total_latency;
-    }
-
     /// Record traffic without modelling timing (used for idealized designs
     /// whose data movement happens "in the background" without occupying
     /// the modelled channels).
@@ -616,52 +573,6 @@ mod tests {
             other.load_state(&mut r),
             Err(banshee_common::SnapshotError::Corrupt(_))
         ));
-    }
-
-    /// The sharded-execution seam: issuing through `note_issued` + direct
-    /// channel service + `merge_serviced` must reproduce the sequential
-    /// `access` path exactly — same timing, same counters, same snapshot
-    /// bytes.
-    #[test]
-    fn detached_channel_service_reproduces_sequential_device() {
-        use banshee_common::persist::SnapshotWriter;
-        let mk = || DramDevice::new(DramKind::InPackage, DramConfig::in_package_default());
-        let mut seq = mk();
-        let mut split = mk();
-        let mut channels = split.detach_channels();
-        let (mut count, mut latency) = (0u64, 0u64);
-        for i in 0..400u64 {
-            let addr = Addr::new((i * 7919) % (1 << 22));
-            let write = i % 3 == 0;
-            let class = if write {
-                TrafficClass::Writeback
-            } else {
-                TrafficClass::HitData
-            };
-            let a = seq.access(i * 5, addr, 64, class, write);
-            let rounded = split.config().round_to_min_transfer(64);
-            split.note_issued(class, rounded);
-            let ch = split.channel_for(addr);
-            let out = if write {
-                channels[ch].write(i * 5, addr, 64, class)
-            } else {
-                channels[ch].read(i * 5, addr, 64, class)
-            };
-            count += 1;
-            latency += out.finish.saturating_sub(i * 5);
-            assert_eq!(out.finish, a.finish, "timing diverged at access {i}");
-        }
-        split.attach_channels(channels);
-        split.merge_serviced(count, latency);
-        assert_eq!(split.traffic(), seq.traffic());
-        assert_eq!(split.access_count(), seq.access_count());
-        assert_eq!(split.mean_latency(), seq.mean_latency());
-        let snap = |d: &DramDevice| {
-            let mut w = SnapshotWriter::new();
-            d.save_state(&mut w);
-            w.into_bytes()
-        };
-        assert_eq!(snap(&split), snap(&seq));
     }
 
     #[test]

@@ -13,8 +13,6 @@ pub enum CheckId {
     /// Every `SimConfig` field keys the result store or is a marked
     /// execution knob.
     KeyMaterial,
-    /// Every `unsafe` is preceded by a `// SAFETY:` comment.
-    Unsafe,
     /// Revision/format constants, fixtures and the CI guard agree.
     Governance,
 }
@@ -24,7 +22,6 @@ pub const ALL_CHECKS: &[CheckId] = &[
     CheckId::StdHash,
     CheckId::WallClock,
     CheckId::KeyMaterial,
-    CheckId::Unsafe,
     CheckId::Governance,
 ];
 
@@ -35,7 +32,6 @@ impl CheckId {
             CheckId::StdHash => "std-hash",
             CheckId::WallClock => "wall-clock",
             CheckId::KeyMaterial => "key-material",
-            CheckId::Unsafe => "unsafe",
             CheckId::Governance => "governance",
         }
     }
@@ -60,7 +56,6 @@ impl CheckId {
                 "every SimConfig field flows into cache_key_material (manual Debug) \
                  or carries `// tidy: exec-knob`"
             }
-            CheckId::Unsafe => "every `unsafe` is preceded by a `// SAFETY:` comment",
             CheckId::Governance => {
                 "MODEL_REVISION/SNAPSHOT_FORMAT documented and fixture-guarded; \
                  Persist section labels unique per function"

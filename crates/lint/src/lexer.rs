@@ -11,10 +11,10 @@
 //!
 //! * [`SourceFile::code`] — the source with every comment and string
 //!   literal blanked to spaces (newlines preserved), so checks can search
-//!   for tokens like `unsafe` or `std::collections::HashMap` without being
+//!   for tokens like `Instant::now` or `std::collections::HashMap` without being
 //!   fooled by prose;
 //! * per-line comment text ([`SourceFile::comment_text`]) for marker
-//!   directives (`// tidy: allow(...)`, `// SAFETY:`);
+//!   directives (`// tidy: allow(...)`, `// tidy: exec-knob`);
 //! * the extracted string literals ([`SourceFile::strings`]) with their
 //!   offsets into `code`, so checks can recover e.g. `Persist` section
 //!   labels;
@@ -128,7 +128,16 @@ impl SourceFile {
                     }
                 }
                 '"' => {
-                    i = lex_string(&chars, i, 0, false, &mut code, &mut comments, &mut line, &mut strings)
+                    i = lex_string(
+                        &chars,
+                        i,
+                        0,
+                        false,
+                        &mut code,
+                        &mut comments,
+                        &mut line,
+                        &mut strings,
+                    )
                 }
                 'r' | 'b' if !prev_is_ident => {
                     // Candidate raw/byte string (r"", r#""#, b"", br"", b'',
@@ -153,7 +162,16 @@ impl SourceFile {
                             i += 1;
                         }
                         let hashes = if raw { hashes } else { 0 };
-                        i = lex_string(&chars, i, hashes, raw, &mut code, &mut comments, &mut line, &mut strings);
+                        i = lex_string(
+                            &chars,
+                            i,
+                            hashes,
+                            raw,
+                            &mut code,
+                            &mut comments,
+                            &mut line,
+                            &mut strings,
+                        );
                     } else if chars[i] == 'b' && chars.get(i + 1) == Some(&'\'') {
                         blank!('b', false);
                         i += 1; // fall through to the char-literal arm next loop
@@ -203,7 +221,11 @@ impl SourceFile {
         }
 
         let line_starts = std::iter::once(0)
-            .chain(code.char_indices().filter(|(_, c)| *c == '\n').map(|(o, _)| o + 1))
+            .chain(
+                code.char_indices()
+                    .filter(|(_, c)| *c == '\n')
+                    .map(|(o, _)| o + 1),
+            )
             .collect::<Vec<_>>();
         let test_lines = compute_test_lines(&code, comments.len());
         SourceFile {
@@ -239,7 +261,10 @@ impl SourceFile {
 
     /// True when 1-based `line` belongs to a `#[cfg(test)]` item.
     pub fn is_test_line(&self, line: usize) -> bool {
-        self.test_lines.get(line.wrapping_sub(1)).copied().unwrap_or(false)
+        self.test_lines
+            .get(line.wrapping_sub(1))
+            .copied()
+            .unwrap_or(false)
     }
 
     /// The comment-and-string-blanked text of 1-based `line`.

@@ -4,11 +4,12 @@
 //! scan that enforces the invariants this simulator's correctness rests on
 //! but `rustc` cannot see — determinism (no randomly-seeded hashers, no
 //! wall-clock reads in sim state), key-material coverage (every `SimConfig`
-//! field keys the result store or is a declared execution knob), an unsafe
-//! audit, and model-governance coherence (revision constants, fixtures and
-//! the CI guard agree). See the check modules under [`checks`] for the
-//! individual rules and the markers (`// tidy: allow(..): why`,
-//! `// tidy: exec-knob`, `// SAFETY:`) that grant exceptions.
+//! field keys the result store or is a declared execution knob), and
+//! model-governance coherence (revision constants, fixtures and the CI guard
+//! agree). `unsafe` needs no lint: the workspace forbids it in the compiler.
+//! See the check modules under [`checks`] for the individual rules and the
+//! markers (`// tidy: allow(..): why`, `// tidy: exec-knob`) that grant
+//! exceptions.
 //!
 //! This is deliberately a *lexer*, not a parser: [`lexer::SourceFile`]
 //! blanks comments and strings out of a code view, records them in side
@@ -53,7 +54,9 @@ pub fn run(root: &Path, only: &[CheckId]) -> io::Result<Report> {
     diagnostics.sort_by(|a, b| {
         (&a.path, a.line, a.check, &a.message).cmp(&(&b.path, b.line, b.check, &b.message))
     });
-    diagnostics.dedup_by(|a, b| a.path == b.path && a.line == b.line && a.check == b.check && a.message == b.message);
+    diagnostics.dedup_by(|a, b| {
+        a.path == b.path && a.line == b.line && a.check == b.check && a.message == b.message
+    });
     Ok(Report {
         checks_run: selected,
         files_scanned: tree.files.len(),

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo tidy                     # all checks, human-readable output
-//! cargo tidy -- --only unsafe    # one check
+//! cargo tidy -- --only wall-clock    # one check
 //! cargo tidy -- --json report.json
 //! ```
 //!
@@ -90,7 +90,8 @@ fn run() -> Result<bool, String> {
         }
     };
 
-    let report = banshee_lint::run(&root, &only).map_err(|e| format!("scanning {}: {e}", root.display()))?;
+    let report =
+        banshee_lint::run(&root, &only).map_err(|e| format!("scanning {}: {e}", root.display()))?;
 
     for d in &report.diagnostics {
         println!("{d}");

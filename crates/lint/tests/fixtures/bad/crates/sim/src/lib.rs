@@ -1,4 +1,4 @@
-//! Known-bad fixture: std-hash, wall-clock and unsafe violations.
+//! Known-bad fixture: std-hash and wall-clock violations.
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -12,7 +12,3 @@ pub fn stamp() -> Instant {
 
 // tidy: allow(std-hash)
 pub type Bad = std::collections::HashSet<u64>;
-
-pub unsafe fn grow(p: *mut u64) {
-    unsafe { *p += 1 };
-}

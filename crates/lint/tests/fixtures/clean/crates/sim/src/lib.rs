@@ -1,16 +1,10 @@
-//! Clean fixture: markers and SAFETY comments used correctly.
+//! Clean fixture: markers used correctly.
 
 // tidy: allow(std-hash): fixture exercising a justified exception
 use std::collections::HashMap;
 
 pub fn lookup() -> HashMap<u64, u64> {
     HashMap::new()
-}
-
-// SAFETY: the caller guarantees `p` is valid and exclusively owned.
-pub unsafe fn grow(p: *mut u64) {
-    // SAFETY: `p` is valid per this function's contract.
-    unsafe { *p += 1 };
 }
 
 #[cfg(test)]

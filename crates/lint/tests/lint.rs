@@ -59,9 +59,6 @@ fn bad_tree_fires_every_check_at_the_expected_lines() {
         triple("wall-clock", "crates/sim/src/lib.rs", 10),
         // lib.rs: allow(std-hash) marker with no justification.
         triple("std-hash", "crates/sim/src/lib.rs", 13),
-        // lib.rs: unsafe fn and unsafe block, both without SAFETY comments.
-        triple("unsafe", "crates/sim/src/lib.rs", 16),
-        triple("unsafe", "crates/sim/src/lib.rs", 17),
         // the committed fixture pins revision 2, the constant says 3.
         triple(
             "governance",
@@ -74,14 +71,8 @@ fn bad_tree_fires_every_check_at_the_expected_lines() {
 
 #[test]
 fn only_filter_restricts_the_run() {
-    let got = findings(&fixture_root("bad"), &[CheckId::Unsafe]);
-    assert_eq!(
-        got,
-        vec![
-            triple("unsafe", "crates/sim/src/lib.rs", 16),
-            triple("unsafe", "crates/sim/src/lib.rs", 17),
-        ]
-    );
+    let got = findings(&fixture_root("bad"), &[CheckId::WallClock]);
+    assert_eq!(got, vec![triple("wall-clock", "crates/sim/src/lib.rs", 10)]);
 }
 
 #[test]
@@ -118,8 +109,11 @@ fn cli_exit_codes_and_json() {
         .expect("run banshee_tidy");
     assert_eq!(bad.status.code(), Some(1), "findings must exit 1");
     let stdout = String::from_utf8_lossy(&bad.stdout);
-    assert!(stdout.contains("\"diagnostic_count\": 14"), "{stdout}");
-    assert!(stdout.contains("crates/sim/src/lib.rs:2: [std-hash]"), "{stdout}");
+    assert!(stdout.contains("\"diagnostic_count\": 12"), "{stdout}");
+    assert!(
+        stdout.contains("crates/sim/src/lib.rs:2: [std-hash]"),
+        "{stdout}"
+    );
 
     let clean = std::process::Command::new(bin)
         .args(["--root"])

@@ -437,7 +437,9 @@ mod tests {
         // The exact default must not surface in the Debug-derived key at all:
         // every result persisted before the knob existed stays addressable.
         assert!(!base.cache_key_material().contains("frequency_backend"));
-        assert!(base.cache_key_material().ends_with(&format!("seed: {} }}", base.seed)));
+        assert!(base
+            .cache_key_material()
+            .ends_with(&format!("seed: {} }}", base.seed)));
 
         let mut sketch = base.clone();
         sketch.frequency_backend = FrequencyBackendKind::Cms {

@@ -68,15 +68,6 @@ pub struct System {
     /// Where to deposit the self-profile at collection time, with the cell
     /// label it should carry.
     profile_out: Option<(String, ProfileCollector)>,
-    /// Total shards (threads) the hot loops run across: the coordinator
-    /// plus `shards - 1` channel/trace workers. `1` (the default) is the
-    /// plain sequential path. Results are byte-identical for every value —
-    /// this is an execution knob like the runner's `--jobs`, never part of
-    /// key material or snapshots.
-    shards: usize,
-    /// The live worker session while a hot loop is sharded; torn down (all
-    /// state reclaimed) before anything reads channel state or snapshots.
-    shard: Option<crate::shard::ShardSession>,
 }
 
 impl System {
@@ -116,48 +107,7 @@ impl System {
             recorder: Recorder::Off,
             telemetry_sink: None,
             profile_out: None,
-            shards: 1,
-            shard: None,
             config,
-        }
-    }
-
-    /// Set how many shards (threads) the hot loops run across. `0` and `1`
-    /// both select the sequential path; `n > 1` spawns `n - 1` workers that
-    /// own the DRAM channel timing domains and pre-generate the traces,
-    /// while this thread keeps the cores, SRAM hierarchy and design state.
-    /// Results are byte-identical for every value.
-    pub fn set_shards(&mut self, shards: usize) {
-        assert!(
-            self.shard.is_none(),
-            "cannot change the shard count mid-run"
-        );
-        self.shards = shards.max(1);
-    }
-
-    /// The configured shard count (threads used by the hot loops).
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Enter sharded execution: move DRAM channels and trace generators to
-    /// worker threads. No-op when `shards <= 1` or already sharded.
-    fn shard_up(&mut self) {
-        if self.shards > 1 && self.shard.is_none() {
-            self.shard = Some(crate::shard::ShardSession::start(
-                self.shards,
-                &mut self.dram,
-                &mut self.cores,
-            ));
-        }
-    }
-
-    /// Leave sharded execution, reclaiming every channel, generator and
-    /// accounting delta so the system is indistinguishable from one that
-    /// ran sequentially. No-op when not sharded.
-    fn shard_down(&mut self) {
-        if let Some(session) = self.shard.take() {
-            session.finish(&mut self.dram, &mut self.cores);
         }
     }
 
@@ -217,9 +167,6 @@ impl System {
     pub fn warm_up(&mut self) -> Option<u64> {
         let warmup = self.config.warmup_instructions;
         let budget = self.config.total_instructions;
-        if warmup + budget > 0 {
-            self.shard_up();
-        }
         let mut executed: u64 = 0;
         while executed < warmup + budget {
             executed += self.step_laggard();
@@ -227,10 +174,6 @@ impl System {
                 self.telemetry_tick(executed, true);
             }
             if executed >= warmup {
-                // Reclaim worker state so the warm point is an ordinary
-                // sequential system: snapshots, baselines and resumes are
-                // shard-count-agnostic by construction.
-                self.shard_down();
                 return Some(executed);
             }
             // Periodic controller maintenance (HMA remapping, BATMAN
@@ -240,7 +183,6 @@ impl System {
                 self.run_epoch(executed);
             }
         }
-        self.shard_down();
         None
     }
 
@@ -270,7 +212,6 @@ impl System {
             self.next_epoch_at += self.config.epoch_instructions;
             self.run_epoch(executed);
         }
-        self.shard_up();
         while executed < warmup + budget {
             executed += self.step_laggard();
             if !self.recorder.is_off() {
@@ -281,7 +222,6 @@ impl System {
                 self.run_epoch(executed);
             }
         }
-        self.shard_down();
         self.collect(workload_name, executed, baseline)
     }
 
@@ -306,17 +246,6 @@ impl System {
         let t0 = profiling_clock();
         let cycles = self.cores.iter().map(|c| c.clock).max().unwrap_or(0);
         let (accesses, misses) = self.controller.demand_stats();
-        // Channel-derived gauges: read locally, or — while sharded — via a
-        // telemetry barrier that makes every worker report its channels
-        // after servicing all previously issued operations. The merged sums
-        // equal the sequential device-level sums exactly.
-        let (in_dram, off_dram) = match &mut self.shard {
-            Some(session) => session.sample(cycles),
-            None => (
-                self.dram.in_package.telemetry(cycles),
-                self.dram.off_package.telemetry(cycles),
-            ),
-        };
         let cum = SampleCumulative {
             instructions: executed,
             cycles,
@@ -324,8 +253,8 @@ impl System {
             dram_cache_misses: misses,
             llc_misses: self.hierarchy.llc_miss_count(),
             traffic: self.dram.combined_traffic(),
-            in_dram,
-            off_dram,
+            in_dram: self.dram.in_package.telemetry(cycles),
+            off_dram: self.dram.off_package.telemetry(cycles),
         };
         let mut gauges = Vec::new();
         self.controller.telemetry_gauges(&mut gauges);
@@ -391,10 +320,6 @@ impl System {
     /// same canonical workload identity later passed to
     /// [`System::resume_warmed`].
     pub fn warmed_image(&self, workload_ident: &str, executed: u64) -> Vec<u8> {
-        debug_assert!(
-            self.shard.is_none(),
-            "snapshots are captured only outside shard sessions"
-        );
         let header = SnapshotHeader {
             model_revision: SimConfig::MODEL_REVISION,
             key_hash: Self::warmed_key_hash(&self.config, workload_ident),
@@ -615,55 +540,29 @@ impl System {
             sink,
             dram,
             planned,
-            shard,
             ..
         } = self;
-        match shard {
-            Some(session) => {
-                // Sharded path: identical issue order and issue-side
-                // accounting; channel service happens on the worker owning
-                // the channel. Critical ops block for their finish cycle
-                // (the timing chain must be bit-equal), background ops are
-                // fire-and-forget but stay in per-channel issue order.
-                for op in &sink.critical {
-                    let dev = dram.device_mut(op.dram);
-                    let rounded = dev.config().round_to_min_transfer(op.bytes);
-                    planned.add(op.dram, op.class, rounded);
-                    dev.note_issued(op.class, rounded);
-                    t = session.access(op.dram, op.addr, op.bytes, op.class, op.write, t, true);
-                }
-                for op in &sink.background {
-                    let dev = dram.device_mut(op.dram);
-                    let rounded = dev.config().round_to_min_transfer(op.bytes);
-                    planned.add(op.dram, op.class, rounded);
-                    dev.note_issued(op.class, rounded);
-                    session.access(op.dram, op.addr, op.bytes, op.class, op.write, t, false);
-                }
-            }
-            None => {
-                for op in &sink.critical {
-                    let dev = dram.device_mut(op.dram);
-                    planned.add(
-                        op.dram,
-                        op.class,
-                        dev.config().round_to_min_transfer(op.bytes),
-                    );
-                    let outcome = dev.access(t, op.addr, op.bytes, op.class, op.write);
-                    t = outcome.finish;
-                }
-                // Background work starts once the critical path has
-                // resolved (e.g. a fill begins after the demand data
-                // arrived) and only consumes bandwidth.
-                for op in &sink.background {
-                    let dev = dram.device_mut(op.dram);
-                    planned.add(
-                        op.dram,
-                        op.class,
-                        dev.config().round_to_min_transfer(op.bytes),
-                    );
-                    dev.access(t, op.addr, op.bytes, op.class, op.write);
-                }
-            }
+        for op in &sink.critical {
+            let dev = dram.device_mut(op.dram);
+            planned.add(
+                op.dram,
+                op.class,
+                dev.config().round_to_min_transfer(op.bytes),
+            );
+            let outcome = dev.access(t, op.addr, op.bytes, op.class, op.write);
+            t = outcome.finish;
+        }
+        // Background work starts once the critical path has resolved (e.g.
+        // a fill begins after the demand data arrived) and only consumes
+        // bandwidth.
+        for op in &sink.background {
+            let dev = dram.device_mut(op.dram);
+            planned.add(
+                op.dram,
+                op.class,
+                dev.config().round_to_min_transfer(op.bytes),
+            );
+            dev.access(t, op.addr, op.bytes, op.class, op.write);
         }
         if let Some(t0) = t0 {
             self.profile(ProfileComponent::DramExecute, t0.elapsed());
@@ -795,10 +694,6 @@ impl System {
         executed_instructions: u64,
         baseline: MeasurementBaseline,
     ) -> SimResult {
-        debug_assert!(
-            self.shard.is_none(),
-            "results are collected only outside shard sessions"
-        );
         if !self.recorder.is_off() && executed_instructions > 0 {
             // Flush the trailing partial window so measured samples cover
             // the full phase (the recorder skips this if the last sample
@@ -1146,80 +1041,6 @@ mod tests {
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.dram_cache_misses, b.dram_cache_misses);
         assert_eq!(a.traffic, b.traffic);
-    }
-
-    /// The sharded-execution acceptance bar: any shard count produces a
-    /// `SimResult` byte-identical to the sequential path, across designs
-    /// with very different plan shapes (NoCache: pure off-package; Banshee:
-    /// background fills + side effects; HMA: epoch migrations + flushes).
-    #[test]
-    fn sharded_run_is_byte_identical_to_sequential() {
-        for design in [
-            DramCacheDesign::NoCache,
-            DramCacheDesign::Banshee,
-            DramCacheDesign::Hma,
-        ] {
-            let w = workload();
-            let cfg = SimConfig::test_default(design);
-            let sequential = run_one(cfg.clone(), &w);
-            let reference = serde_json::to_string_pretty(&sequential).unwrap();
-            for shards in [2, 4] {
-                let mut sys = System::new(cfg.clone(), &w);
-                sys.set_shards(shards);
-                let result = sys.run(&w.name());
-                assert_eq!(
-                    serde_json::to_string_pretty(&result).unwrap(),
-                    reference,
-                    "{design:?} diverged at {shards} shards"
-                );
-            }
-        }
-    }
-
-    /// A warmed image captured by a sharded run equals the sequential one
-    /// (snapshots are shard-count-agnostic), and resuming it sequentially
-    /// or sharded reproduces the same result.
-    #[test]
-    fn sharded_snapshots_are_shard_count_agnostic() {
-        let w = workload();
-        let cfg = SimConfig::test_default(DramCacheDesign::Banshee);
-
-        let mut seq = System::new(cfg.clone(), &w);
-        let warmed = seq.warm_up().expect("non-empty run");
-        let image = seq.warmed_image(&w.name(), warmed);
-        let reference =
-            serde_json::to_string_pretty(&seq.run_measured(&w.name(), Some(warmed))).unwrap();
-
-        // Sharded warm-up captures the identical image.
-        let mut sharded = System::new(cfg.clone(), &w);
-        sharded.set_shards(3);
-        let warmed_sharded = sharded.warm_up().expect("non-empty run");
-        assert_eq!(warmed_sharded, warmed);
-        assert_eq!(sharded.warmed_image(&w.name(), warmed_sharded), image);
-
-        // A sequentially captured image resumed under sharding reproduces
-        // the sequential result byte for byte.
-        let (mut resumed, executed) = System::resume_warmed(cfg, &w, &w.name(), &image).unwrap();
-        resumed.set_shards(2);
-        let result = resumed.run_measured(&w.name(), Some(executed));
-        assert_eq!(serde_json::to_string_pretty(&result).unwrap(), reference);
-    }
-
-    /// Telemetry stays pure under sharding: recorder on + shards on changes
-    /// nothing about the result.
-    #[test]
-    fn sharded_run_with_telemetry_matches_sequential_without() {
-        let w = workload();
-        let cfg = SimConfig::test_default(DramCacheDesign::Banshee);
-        let plain = run_one(cfg.clone(), &w);
-        let mut sys = System::new(cfg, &w);
-        sys.set_shards(2);
-        sys.enable_telemetry(TelemetryConfig::default());
-        let sharded = sys.run(&w.name());
-        assert_eq!(
-            serde_json::to_string_pretty(&sharded).unwrap(),
-            serde_json::to_string_pretty(&plain).unwrap()
-        );
     }
 
     #[test]

@@ -1,10 +1,6 @@
 //! The trace abstraction every workload produces.
 
-use banshee_common::spsc::Consumer;
 use banshee_common::Addr;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 /// One memory access in a core's instruction stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,142 +74,20 @@ pub trait TraceFactory: Send + Sync {
 /// orders of magnitude cheaper than re-simulating the machine it fed.
 #[derive(Debug)]
 pub struct TraceCursor {
-    source: Source,
+    gen: Box<dyn TraceGenerator>,
     consumed: u64,
-}
-
-/// Where the cursor's next access comes from. In both modes `pending`
-/// holds accesses that were pre-generated ahead of consumption (by a shard
-/// worker) and must be replayed before touching the source again, so the
-/// observed stream is identical no matter how often the cursor switches
-/// modes.
-#[derive(Debug)]
-enum Source {
-    /// The generator is owned locally and called on demand.
-    Local {
-        gen: Box<dyn TraceGenerator>,
-        pending: VecDeque<MemoryAccess>,
-    },
-    /// The generator lives on a shard worker that streams pre-generated
-    /// accesses through a bounded ring.
-    Ring {
-        pending: VecDeque<MemoryAccess>,
-        consumer: Consumer<MemoryAccess>,
-        poison: Arc<AtomicBool>,
-        name: String,
-        footprint_bytes: u64,
-    },
 }
 
 impl TraceCursor {
     /// Wrap a freshly built generator at position zero.
     pub fn new(gen: Box<dyn TraceGenerator>) -> Self {
-        TraceCursor {
-            source: Source::Local {
-                gen,
-                pending: VecDeque::new(),
-            },
-            consumed: 0,
-        }
+        TraceCursor { gen, consumed: 0 }
     }
 
     /// Produce the next access, advancing the cursor.
     pub fn next_access(&mut self) -> MemoryAccess {
         self.consumed += 1;
-        match &mut self.source {
-            Source::Local { gen, pending } => {
-                pending.pop_front().unwrap_or_else(|| gen.next_access())
-            }
-            Source::Ring {
-                pending,
-                consumer,
-                poison,
-                ..
-            } => {
-                if let Some(access) = pending.pop_front() {
-                    return access;
-                }
-                let mut spins = 0u32;
-                loop {
-                    if let Some(access) = consumer.try_pop() {
-                        return access;
-                    }
-                    if poison.load(Ordering::Acquire) {
-                        panic!("shard worker feeding this trace ring panicked");
-                    }
-                    banshee_common::spsc::backoff(&mut spins);
-                }
-            }
-        }
-    }
-
-    /// Hand the generator to a shard worker and switch the cursor to
-    /// consuming pre-generated accesses from `consumer`. Accesses already
-    /// buffered locally keep their place ahead of the ring. `poison` turns
-    /// a dead producer into a panic instead of a hang.
-    ///
-    /// Panics if the cursor is already sharded.
-    pub fn begin_sharded(
-        &mut self,
-        consumer: Consumer<MemoryAccess>,
-        poison: Arc<AtomicBool>,
-    ) -> Box<dyn TraceGenerator> {
-        let placeholder = Source::Ring {
-            pending: VecDeque::new(),
-            consumer,
-            poison,
-            name: String::new(),
-            footprint_bytes: 0,
-        };
-        match std::mem::replace(&mut self.source, placeholder) {
-            Source::Local { gen, pending } => {
-                if let Source::Ring {
-                    pending: p,
-                    name,
-                    footprint_bytes,
-                    ..
-                } = &mut self.source
-                {
-                    *p = pending;
-                    *name = gen.name().to_string();
-                    *footprint_bytes = gen.footprint_bytes();
-                }
-                gen
-            }
-            Source::Ring { .. } => panic!("trace cursor is already sharded"),
-        }
-    }
-
-    /// Take the generator back from a finished shard worker and return to
-    /// local mode. Whatever the worker pre-generated but the simulation did
-    /// not yet consume is drained out of the ring and kept ahead of the
-    /// generator, so the stream continues exactly where it left off.
-    ///
-    /// Panics if the cursor is not sharded.
-    pub fn end_sharded(&mut self, gen: Box<dyn TraceGenerator>) {
-        let mut pending = match std::mem::replace(
-            &mut self.source,
-            Source::Local {
-                gen,
-                pending: VecDeque::new(),
-            },
-        ) {
-            Source::Ring {
-                pending,
-                mut consumer,
-                ..
-            } => {
-                let mut pending = pending;
-                while let Some(access) = consumer.try_pop() {
-                    pending.push_back(access);
-                }
-                pending
-            }
-            Source::Local { .. } => panic!("trace cursor is not sharded"),
-        };
-        if let Source::Local { pending: p, .. } = &mut self.source {
-            std::mem::swap(p, &mut pending);
-        }
+        self.gen.next_access()
     }
 
     /// Number of accesses pulled from the generator so far.
@@ -223,20 +97,12 @@ impl TraceCursor {
 
     /// The wrapped generator's benchmark name.
     pub fn name(&self) -> &str {
-        match &self.source {
-            Source::Local { gen, .. } => gen.name(),
-            Source::Ring { name, .. } => name,
-        }
+        self.gen.name()
     }
 
     /// The wrapped generator's virtual footprint in bytes.
     pub fn footprint_bytes(&self) -> u64 {
-        match &self.source {
-            Source::Local { gen, .. } => gen.footprint_bytes(),
-            Source::Ring {
-                footprint_bytes, ..
-            } => *footprint_bytes,
-        }
+        self.gen.footprint_bytes()
     }
 
     /// Advance a freshly built cursor to `target` accesses consumed,
@@ -300,59 +166,6 @@ mod tests {
 
         // Rewinding is an error, not a silent mismatch.
         assert!(replay.fast_forward(5).is_err());
-    }
-
-    /// Sharding the cursor (generator moves to a worker, accesses stream
-    /// back through a ring) must be invisible: the observed access stream
-    /// and the consumed count match a purely local cursor, including when
-    /// the ring still holds pre-generated accesses at un-shard time.
-    #[test]
-    fn sharded_cursor_preserves_the_stream() {
-        let mut reference = TraceCursor::new(Box::new(CountingTrace(0)));
-        let mut cursor = TraceCursor::new(Box::new(CountingTrace(0)));
-        for _ in 0..5 {
-            assert_eq!(cursor.next_access(), reference.next_access());
-        }
-
-        // Shard: the "worker" (this thread) pre-generates ahead of demand.
-        let (mut tx, rx) = banshee_common::spsc::ring(16);
-        let mut gen = cursor.begin_sharded(rx, Arc::new(AtomicBool::new(false)));
-        assert_eq!(cursor.name(), "counting");
-        assert_eq!(cursor.footprint_bytes(), 1 << 20);
-        for _ in 0..10 {
-            tx.try_push(gen.next_access()).unwrap();
-        }
-        for _ in 0..7 {
-            assert_eq!(cursor.next_access(), reference.next_access());
-        }
-
-        // Un-shard with 3 accesses still in flight, then immediately
-        // re-shard so those leftovers sit ahead of the new ring.
-        cursor.end_sharded(gen);
-        let (mut tx2, rx2) = banshee_common::spsc::ring(16);
-        let mut gen = cursor.begin_sharded(rx2, Arc::new(AtomicBool::new(false)));
-        for _ in 0..4 {
-            tx2.try_push(gen.next_access()).unwrap();
-        }
-        for _ in 0..7 {
-            assert_eq!(cursor.next_access(), reference.next_access());
-        }
-        cursor.end_sharded(gen);
-        for _ in 0..20 {
-            assert_eq!(cursor.next_access(), reference.next_access());
-        }
-        assert_eq!(cursor.consumed(), reference.consumed());
-    }
-
-    /// A poisoned ring (dead producer) panics instead of hanging forever.
-    #[test]
-    #[should_panic(expected = "shard worker")]
-    fn sharded_cursor_panics_on_poisoned_ring() {
-        let mut cursor = TraceCursor::new(Box::new(CountingTrace(0)));
-        let (_tx, rx) = banshee_common::spsc::ring::<MemoryAccess>(4);
-        let poison = Arc::new(AtomicBool::new(true));
-        let _gen = cursor.begin_sharded(rx, poison);
-        cursor.next_access();
     }
 
     #[test]
