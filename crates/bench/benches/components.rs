@@ -7,11 +7,11 @@
 //! experiment harness depends on).
 
 use banshee::{BansheeConfig, CacheSetMetadata, FrequencyReplacement, TagBuffer};
-use banshee_common::{Addr, LineAddr, PageNum, TrafficClass};
+use banshee_common::{Addr, LineAddr, PageNum, TrafficClass, XorShiftRng, ZipfSampler};
 use banshee_dcache::{DCacheConfig, DramCacheController, MemRequest};
 use banshee_dram::{DramConfig, DramDevice};
 use banshee_memhier::{PteMapInfo, ReplacementPolicy, SetAssocCache, Tlb, TlbEntry};
-use banshee_workloads::SpecProgram;
+use banshee_workloads::{SpecProgram, SyntheticGraph};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn bench_tag_buffer(c: &mut Criterion) {
@@ -99,6 +99,16 @@ fn bench_trace_generation(c: &mut Criterion) {
     c.bench_function("synthetic_trace_mcf", |b| {
         let mut gen = SpecProgram::Mcf.build(16 << 20, 0, 1);
         b.iter(|| black_box(gen.next_access()));
+    });
+    // The kv_ycsb support (256 B values over 64 MiB) at YCSB's skew.
+    c.bench_function("zipf_sample_262k", |b| {
+        let zipf = ZipfSampler::new(262_144, 0.99);
+        let mut rng = XorShiftRng::new(1);
+        b.iter(|| black_box(zipf.sample(&mut rng)));
+    });
+    // What each pagerank cell builds at quick scale (4 x a 16 MiB cache).
+    c.bench_function("pagerank_graph_build_64mib", |b| {
+        b.iter(|| black_box(SyntheticGraph::build(64 << 20, 16, 1).edge_count()));
     });
 }
 

@@ -17,6 +17,8 @@
 //! explicitly, plus SplitMix64 for seed expansion, instead of depending on a
 //! system RNG.
 
+use std::sync::Arc;
+
 /// SplitMix64 — used to expand a single user seed into many stream seeds.
 ///
 /// Reference: Steele, Lea, Flood. "Fast splittable pseudorandom number
@@ -117,11 +119,34 @@ impl XorShiftRng {
 /// accesses concentrate on a small set of hot pages, with a long tail — the
 /// behaviour that makes frequency-based replacement attractive in the paper.
 ///
-/// Sampling uses the classic inverse-CDF-by-binary-search over precomputed
-/// cumulative weights. Construction is `O(n)`, sampling is `O(log n)`.
+/// Sampling inverts the normalized CDF `cumulative` (non-decreasing,
+/// `cumulative[n-1] == 1.0`): a draw `u` in `[0, 1)` maps to the first index
+/// `i` with `cumulative[i] >= u`. A guide table (Chen and Asau's cutpoint
+/// method) makes that lookup O(1) expected. With
+/// `m = n.next_power_of_two()` buckets, `guide[k]` is the first index whose
+/// `cumulative[i] >= k / m`. Every `u` in bucket `k = ⌊u·m⌋` is at least
+/// `k / m`, so its answer is at or after `guide[k]`, and a forward scan from
+/// there finds it, stopping no later than `guide[k + 1]` (or `n - 1` in the
+/// last bucket).
+///
+/// The lookup is exact, not an approximation: `m` is a power of two, so
+/// `u·m` and `k / m` are computed without rounding, and each draw returns the
+/// same index as a binary search over `cumulative` and consumes the same
+/// single RNG value. Construction is `O(n)`. A draw costs at most
+/// `1 + n / m <= 2` comparisons in expectation, since the buckets are equally
+/// likely and their scans together cover the `n` indices once.
+///
+/// The tables live behind one [`Arc`], so a clone is O(1) and shares them:
+/// a workload builds each `(n, s)` table once and hands every core a clone.
 #[derive(Debug, Clone)]
 pub struct ZipfSampler {
+    tables: Arc<ZipfTables>,
+}
+
+#[derive(Debug)]
+struct ZipfTables {
     cumulative: Vec<f64>,
+    guide: Vec<u32>,
 }
 
 impl ZipfSampler {
@@ -129,9 +154,13 @@ impl ZipfSampler {
     /// larger `s` is more skewed; s ≈ 0.8–1.2 is typical for memory traces).
     ///
     /// # Panics
-    /// Panics if `n == 0` or `s` is negative/not finite.
+    /// Panics if `n == 0`, `n > u32::MAX`, or `s` is negative/not finite.
     pub fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "ZipfSampler needs at least one item");
+        assert!(
+            u32::try_from(n).is_ok(),
+            "ZipfSampler indexes its guide table with u32"
+        );
         assert!(
             s >= 0.0 && s.is_finite(),
             "exponent must be finite and >= 0"
@@ -150,25 +179,51 @@ impl ZipfSampler {
         if let Some(last) = cumulative.last_mut() {
             *last = 1.0;
         }
-        ZipfSampler { cumulative }
+        let m = n.next_power_of_two();
+        let mut guide = Vec::with_capacity(m);
+        let mut i = 0usize;
+        for k in 0..m {
+            // k / m < 1.0 == cumulative[n-1], so `i` stays in bounds.
+            let edge = k as f64 / m as f64;
+            while cumulative[i] < edge {
+                i += 1;
+            }
+            guide.push(i as u32);
+        }
+        ZipfSampler {
+            tables: Arc::new(ZipfTables { cumulative, guide }),
+        }
     }
 
     /// Number of items in the distribution's support.
     pub fn len(&self) -> usize {
-        self.cumulative.len()
+        self.tables.cumulative.len()
     }
 
     /// True if the support is a single item.
     pub fn is_empty(&self) -> bool {
-        self.cumulative.is_empty()
+        self.tables.cumulative.is_empty()
     }
 
     /// Draw one item index (rank order: index 0 is the most popular item).
+    #[inline]
     pub fn sample(&self, rng: &mut XorShiftRng) -> usize {
-        let u = rng.next_f64();
-        // partition_point returns the first index whose cumulative weight is
-        // >= u, i.e. the sampled rank.
-        self.cumulative.partition_point(|&c| c < u)
+        self.index_of(rng.next_f64())
+    }
+
+    /// The first index whose cumulative weight is `>= u`, for `u` in
+    /// `[0, 1)` drawn by [`XorShiftRng::next_f64`].
+    #[inline]
+    fn index_of(&self, u: f64) -> usize {
+        let ZipfTables { cumulative, guide } = &*self.tables;
+        // Exact: scaling by a power of two does not round, and u < 1.
+        let k = (u * guide.len() as f64) as usize;
+        let mut i = guide[k] as usize;
+        // Ends by n-1 at the latest, because cumulative[n-1] == 1.0 > u.
+        while cumulative[i] < u {
+            i += 1;
+        }
+        i
     }
 }
 
@@ -339,6 +394,53 @@ mod tests {
         let mut r = XorShiftRng::new(4);
         for _ in 0..1000 {
             assert!(z.sample(&mut r) < 7);
+        }
+    }
+
+    /// The guide-table lookup returns exactly what a binary search over the
+    /// CDF returns, for random draws and for every bucket edge `k / m` and
+    /// its neighbours (adjacent `f64`s and adjacent `next_f64` draws), where
+    /// a truncation or rounding slip would show.
+    #[test]
+    fn zipf_guide_lookup_matches_binary_search() {
+        const ULP: f64 = 1.0 / (1u64 << 53) as f64;
+        let mut r = XorShiftRng::new(29);
+        for n in [1usize, 2, 3, 7, 64, 65, 768, 16_000, 262_144] {
+            for s in [0.0, 0.2, 0.9, 0.99, 1.2] {
+                let z = ZipfSampler::new(n, s);
+                let reference = |u: f64| z.tables.cumulative.partition_point(|&c| c < u);
+                let m = z.tables.guide.len();
+                assert_eq!(m, n.next_power_of_two());
+                let edges = (0..m).flat_map(|k| {
+                    let edge = k as f64 / m as f64;
+                    [
+                        edge - ULP,
+                        edge.next_down(),
+                        edge,
+                        edge.next_up(),
+                        edge + ULP,
+                    ]
+                });
+                let random = (0..20_000).map(|_| r.next_f64());
+                for u in edges
+                    .chain(random)
+                    .chain([0.0, 1.0 - ULP])
+                    .filter(|u| (0.0..1.0).contains(u))
+                {
+                    assert_eq!(z.index_of(u), reference(u), "n={n} s={s} u={u:e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zipf_clones_share_tables() {
+        let z = ZipfSampler::new(1000, 0.99);
+        let c = z.clone();
+        assert!(Arc::ptr_eq(&z.tables, &c.tables));
+        let (mut a, mut b) = (XorShiftRng::new(8), XorShiftRng::new(8));
+        for _ in 0..1000 {
+            assert_eq!(z.sample(&mut a), c.sample(&mut b));
         }
     }
 

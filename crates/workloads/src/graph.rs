@@ -182,15 +182,6 @@ impl GraphKernelTrace {
         }
     }
 
-    fn push(&mut self, offset: u64, write: bool) {
-        let gap = self.kernel.inst_gap();
-        self.pending.push_back(MemoryAccess {
-            vaddr: Addr::new(self.base + offset),
-            write,
-            inst_gap: gap,
-        });
-    }
-
     /// Emit the access pattern for processing one vertex, then advance.
     fn process_next_vertex(&mut self) {
         let u = self.cursor;
@@ -198,7 +189,18 @@ impl GraphKernelTrace {
         if self.cursor >= self.part_end {
             self.cursor = self.part_start;
         }
-        let graph = Arc::clone(&self.graph);
+        // Borrow the graph and the queue as disjoint fields, so the loops
+        // below can read one while appending to the other.
+        let graph = &*self.graph;
+        let pending = &mut self.pending;
+        let (base, gap) = (self.base, self.kernel.inst_gap());
+        let mut push = |offset: u64, write: bool| {
+            pending.push_back(MemoryAccess {
+                vaddr: Addr::new(base + offset),
+                write,
+                inst_gap: gap,
+            })
+        };
         let degree = graph.neighbours(u).len();
         let edge_base = graph.offsets[u] as usize;
 
@@ -206,24 +208,24 @@ impl GraphKernelTrace {
             GraphKernel::PageRank => {
                 // Read own state, scan the edge list, gather each
                 // neighbour's rank, then write the new rank.
-                self.push(graph.vertex_addr(u), false);
+                push(graph.vertex_addr(u), false);
                 for (i, &v) in graph.neighbours(u).iter().enumerate() {
-                    self.push(graph.edge_addr(edge_base + i), false);
-                    self.push(graph.vertex_addr(v as usize), false);
+                    push(graph.edge_addr(edge_base + i), false);
+                    push(graph.vertex_addr(v as usize), false);
                 }
-                self.push(graph.vertex_addr(u), true);
+                push(graph.vertex_addr(u), true);
             }
             GraphKernel::TriangleCount => {
                 // For each neighbour, also scan a prefix of the neighbour's
                 // own adjacency list (set intersection).
-                self.push(graph.vertex_addr(u), false);
+                push(graph.vertex_addr(u), false);
                 for (i, &v) in graph.neighbours(u).iter().enumerate() {
-                    self.push(graph.edge_addr(edge_base + i), false);
+                    push(graph.edge_addr(edge_base + i), false);
                     let v = v as usize;
                     let v_base = graph.offsets[v] as usize;
                     let v_deg = graph.neighbours(v).len().min(8);
                     for j in 0..v_deg {
-                        self.push(graph.edge_addr(v_base + j), false);
+                        push(graph.edge_addr(v_base + j), false);
                     }
                 }
             }
@@ -237,34 +239,34 @@ impl GraphKernelTrace {
                         .next_below((self.part_end - self.part_start) as u64)
                         as usize;
                 let edge_base = graph.offsets[u] as usize;
-                self.push(graph.vertex_addr(u), false);
+                push(graph.vertex_addr(u), false);
                 for (i, &v) in graph.neighbours(u).iter().enumerate() {
-                    self.push(graph.edge_addr(edge_base + i), false);
+                    push(graph.edge_addr(edge_base + i), false);
                     let write = i % 4 == 0;
-                    self.push(graph.vertex_addr(v as usize), write);
+                    push(graph.vertex_addr(v as usize), write);
                 }
             }
             GraphKernel::Sgd => {
                 // Stream ratings (edges) and update the two latent-factor
                 // blocks they connect: read-modify-write both endpoints.
-                self.push(graph.vertex_addr(u), false);
+                push(graph.vertex_addr(u), false);
                 for (i, &v) in graph.neighbours(u).iter().enumerate().take(8) {
-                    self.push(graph.edge_addr(edge_base + i), false);
-                    self.push(graph.vertex_addr(v as usize), false);
-                    self.push(graph.vertex_addr(v as usize), true);
+                    push(graph.edge_addr(edge_base + i), false);
+                    push(graph.vertex_addr(v as usize), false);
+                    push(graph.vertex_addr(v as usize), true);
                 }
-                self.push(graph.vertex_addr(u), true);
+                push(graph.vertex_addr(u), true);
             }
             GraphKernel::Lsh => {
                 // Stream the point (a long sequential run over the edge
                 // array) and probe a few random hash buckets in the vertex
                 // array.
                 for i in 0..16.min(degree.max(1)) {
-                    self.push(graph.edge_addr(edge_base + i), false);
+                    push(graph.edge_addr(edge_base + i), false);
                 }
                 for _ in 0..4 {
                     let bucket = self.rng.next_below(graph.vertex_count() as u64) as usize;
-                    self.push(graph.vertex_addr(bucket), false);
+                    push(graph.vertex_addr(bucket), false);
                 }
             }
         }

@@ -99,13 +99,22 @@ impl KeyValueTrace {
             params.footprint_bytes >= 2 * PAGE_SIZE,
             "key-value footprint too small"
         );
-        let slots = params.slots();
-        let value_lines = params.value_lines();
-        let zipf = ZipfSampler::new(slots.min(1 << 22) as usize, params.zipf_exponent);
+        let zipf = ZipfSampler::new(params.slots().min(1 << 22) as usize, params.zipf_exponent);
+        Self::with_zipf(params, zipf, base, seed)
+    }
+
+    /// A fresh generator over the same keyspace layout at `base`: the same
+    /// stream as `KeyValueTrace::new(self.params().clone(), base, seed)`, but
+    /// sharing this generator's Zipf table instead of building another.
+    pub fn fork(&self, base: u64, seed: u64) -> Self {
+        Self::with_zipf(self.params.clone(), self.zipf.clone(), base, seed)
+    }
+
+    fn with_zipf(params: KeyValueParams, zipf: ZipfSampler, base: u64, seed: u64) -> Self {
         KeyValueTrace {
             base,
-            slots,
-            value_lines,
+            slots: params.slots(),
+            value_lines: params.value_lines(),
             zipf,
             rng: XorShiftRng::new(seed),
             scan_cursor: 0,

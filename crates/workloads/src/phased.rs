@@ -55,20 +55,46 @@ impl PhasedTrace {
     pub fn new(params: PhasedParams, base: u64, seed: u64) -> Self {
         assert!(!params.tenants.is_empty(), "phased mix needs tenants");
         assert!(params.phase_accesses > 0, "phase length must be positive");
+        let tenants = Self::placements(&params, base, seed)
+            .map(|(t, offset, tenant_seed)| {
+                assert!(
+                    t.footprint_bytes >= 2 * PAGE_SIZE,
+                    "tenant footprint too small"
+                );
+                SyntheticTrace::new(t.clone(), offset, tenant_seed)
+            })
+            .collect();
+        Self::with_tenants(params, tenants, seed)
+    }
+
+    /// A fresh generator whose tenant regions start at `base`: the same
+    /// stream as `PhasedTrace::new(self.params().clone(), base, seed)`, but
+    /// sharing this generator's per-tenant Zipf tables instead of building
+    /// them again.
+    pub fn fork(&self, base: u64, seed: u64) -> Self {
+        let tenants = Self::placements(&self.params, base, seed)
+            .zip(&self.tenants)
+            .map(|((_, offset, tenant_seed), t)| t.fork(offset, tenant_seed))
+            .collect();
+        Self::with_tenants(self.params.clone(), tenants, seed)
+    }
+
+    /// Each tenant with its region's start and its generator's seed; the
+    /// regions are laid out consecutively from `base`.
+    fn placements(
+        params: &PhasedParams,
+        base: u64,
+        seed: u64,
+    ) -> impl Iterator<Item = (&SyntheticParams, u64, u64)> {
         let mut offset = base;
-        let mut tenants = Vec::with_capacity(params.tenants.len());
-        for (i, t) in params.tenants.iter().enumerate() {
-            assert!(
-                t.footprint_bytes >= 2 * PAGE_SIZE,
-                "tenant footprint too small"
-            );
-            tenants.push(SyntheticTrace::new(
-                t.clone(),
-                offset,
-                seed.wrapping_add(i as u64 * 0x9E37),
-            ));
+        params.tenants.iter().enumerate().map(move |(i, t)| {
+            let start = offset;
             offset += t.footprint_bytes;
-        }
+            (t, start, seed.wrapping_add(i as u64 * 0x9E37))
+        })
+    }
+
+    fn with_tenants(params: PhasedParams, tenants: Vec<SyntheticTrace>, seed: u64) -> Self {
         PhasedTrace {
             tenants,
             rng: XorShiftRng::new(seed),

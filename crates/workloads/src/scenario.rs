@@ -381,14 +381,14 @@ impl TraceFactory for ScenarioWorkloadInstance {
                 Workload::new(*kind, total, self.seed).build_traces(cores)
             }
             ScenarioWorkloadSpec::Synthetic { template } => {
-                // Per-core private copies, like the SPEC models.
-                let per_core = (total / cores as u64).max(2 * 4096);
+                // Per-core private copies, like the SPEC models, sharing one
+                // Zipf table.
+                let mut params = template.clone();
+                params.footprint_bytes = (total / cores as u64).max(2 * 4096);
+                let prototype = SyntheticTrace::new(params, 0, 0);
                 (0..cores)
                     .map(|core| {
-                        let mut params = template.clone();
-                        params.footprint_bytes = per_core;
-                        Box::new(SyntheticTrace::new(
-                            params,
+                        Box::new(prototype.fork(
                             core as u64 * region_stride,
                             self.seed.wrapping_add(core as u64 * 1013),
                         )) as Box<dyn TraceGenerator>
@@ -400,13 +400,11 @@ impl TraceFactory for ScenarioWorkloadInstance {
                 // server), with per-core request streams.
                 let mut params = template.clone();
                 params.footprint_bytes = total.max(2 * 4096 * 2);
+                let prototype = KeyValueTrace::new(params, 0, 0);
                 (0..cores)
                     .map(|core| {
-                        Box::new(KeyValueTrace::new(
-                            params.clone(),
-                            0,
-                            self.seed.wrapping_add(core as u64 * 7919),
-                        )) as Box<dyn TraceGenerator>
+                        Box::new(prototype.fork(0, self.seed.wrapping_add(core as u64 * 7919)))
+                            as Box<dyn TraceGenerator>
                     })
                     .collect()
             }
@@ -417,35 +415,46 @@ impl TraceFactory for ScenarioWorkloadInstance {
                 tenants,
             } => {
                 // All cores see the same tenant layout over one shared
-                // region; per-core RNG streams differ.
-                let params = PhasedParams {
-                    name: name.clone(),
-                    phase_accesses: *phase_accesses,
-                    active_share: *active_share,
-                    tenants: tenants
-                        .iter()
-                        .enumerate()
-                        .map(|(i, t)| {
-                            let budget = ((total as f64 * t.share) as u64).max(2 * 4096);
-                            let mut p = t.like.params(budget);
-                            p.footprint_bytes = budget.max(2 * 4096);
-                            p.name = format!("{name}.t{i}");
-                            p
-                        })
-                        .collect(),
-                };
+                // region (and share its Zipf tables); per-core RNG streams
+                // differ.
+                let params = phased_params(name, *phase_accesses, *active_share, tenants, total);
+                let prototype = PhasedTrace::new(params, 0, 0);
                 (0..cores)
                     .map(|core| {
-                        Box::new(PhasedTrace::new(
-                            params.clone(),
-                            0,
-                            self.seed.wrapping_add(core as u64 * 2459),
-                        )) as Box<dyn TraceGenerator>
+                        Box::new(prototype.fork(0, self.seed.wrapping_add(core as u64 * 2459)))
+                            as Box<dyn TraceGenerator>
                     })
                     .collect()
             }
             ScenarioWorkloadSpec::Trace { data, .. } => data.replay_generators(cores),
         }
+    }
+}
+
+/// The phased family's parameters at a `total` footprint: each tenant is
+/// shaped like its SPEC program and owns `share` of the footprint.
+fn phased_params(
+    name: &str,
+    phase_accesses: u64,
+    active_share: f64,
+    tenants: &[TenantSpec],
+    total: u64,
+) -> PhasedParams {
+    PhasedParams {
+        name: name.to_string(),
+        phase_accesses,
+        active_share,
+        tenants: tenants
+            .iter()
+            .enumerate()
+            .map(|(i, t)| {
+                let budget = ((total as f64 * t.share) as u64).max(2 * 4096);
+                let mut p = t.like.params(budget);
+                p.footprint_bytes = budget.max(2 * 4096);
+                p.name = format!("{name}.t{i}");
+                p
+            })
+            .collect(),
     }
 }
 
@@ -1494,6 +1503,91 @@ mod tests {
             for core in 0..4 {
                 for _ in 0..50 {
                     assert_eq!(again[core].next_access(), first[core].next_access());
+                }
+            }
+        }
+    }
+
+    /// Sharing Zipf tables across cores changes no stream: each core of
+    /// `build_traces(16)` replays what its generator yields when built alone
+    /// through its single-core constructor.
+    #[test]
+    fn shared_tables_replay_unshared_construction() {
+        use crate::graph::{GraphKernelTrace, SyntheticGraph};
+        let json = r#"{
+            "name": "share",
+            "workloads": [
+                {"type": "builtin", "name": "pagerank"},
+                {"type": "builtin", "name": "mcf"},
+                {"type": "builtin", "name": "mix1"},
+                {"type": "synthetic", "name": "syn", "zipf_exponent": 0.99},
+                {"type": "kv", "name": "kv99"},
+                {"type": "phased", "name": "ph", "phase_accesses": 1000,
+                 "tenants": [{"like": "mcf", "share": 0.4}, {"like": "lbm", "share": 0.3},
+                             {"like": "omnetpp", "share": 0.3}]}
+            ]
+        }"#;
+        let (total, seed, cores) = (8u64 << 20, 7u64, 16usize);
+        let (stride, per_core) = (1u64 << 40, total / cores as u64);
+        let spec = ScenarioSpec::from_json_str(json, base()).unwrap();
+        for entry in &spec.workloads {
+            let graph = match entry.spec {
+                ScenarioWorkloadSpec::Builtin {
+                    kind: WorkloadKind::Graph(_),
+                } => Some(Arc::new(SyntheticGraph::build(total, 16, seed))),
+                _ => None,
+            };
+            let mut shared = entry.spec.instantiate(total, seed).build_traces(cores);
+            for (core, trace) in shared.iter_mut().enumerate() {
+                let c = core as u64;
+                let mut alone: Box<dyn TraceGenerator> = match &entry.spec {
+                    ScenarioWorkloadSpec::Builtin { kind } => match kind {
+                        WorkloadKind::Graph(kernel) => Box::new(GraphKernelTrace::new(
+                            Arc::clone(graph.as_ref().unwrap()),
+                            *kernel,
+                            0,
+                            core,
+                            cores,
+                            seed + c,
+                        )),
+                        WorkloadKind::Spec(program) => {
+                            program.build(per_core, c * stride, seed + c * 1013)
+                        }
+                        WorkloadKind::Mix(mix) => {
+                            mix.program_for_core(core)
+                                .build(per_core, c * stride, seed + c * 7919)
+                        }
+                    },
+                    ScenarioWorkloadSpec::Synthetic { template } => {
+                        let mut params = template.clone();
+                        params.footprint_bytes = per_core;
+                        Box::new(SyntheticTrace::new(params, c * stride, seed + c * 1013))
+                    }
+                    ScenarioWorkloadSpec::KeyValue { template } => {
+                        let mut params = template.clone();
+                        params.footprint_bytes = total;
+                        Box::new(KeyValueTrace::new(params, 0, seed + c * 7919))
+                    }
+                    ScenarioWorkloadSpec::Phased {
+                        name,
+                        phase_accesses,
+                        active_share,
+                        tenants,
+                    } => Box::new(PhasedTrace::new(
+                        phased_params(name, *phase_accesses, *active_share, tenants, total),
+                        0,
+                        seed + c * 2459,
+                    )),
+                    ScenarioWorkloadSpec::Trace { .. } => unreachable!("no trace entry"),
+                };
+                let name = entry.spec.display_name();
+                assert_eq!(trace.name(), alone.name(), "{name} core {core}");
+                for i in 0..10_000 {
+                    assert_eq!(
+                        trace.next_access(),
+                        alone.next_access(),
+                        "{name} core {core} access {i}"
+                    );
                 }
             }
         }

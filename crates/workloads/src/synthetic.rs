@@ -63,7 +63,6 @@ pub struct SyntheticTrace {
     /// Base virtual address of this generator's region.
     base: u64,
     streaming_pages: u64,
-    working_pages: u64,
     zipf: ZipfSampler,
     rng: XorShiftRng,
     /// Streaming cursor (line index within the streaming region).
@@ -87,10 +86,28 @@ impl SyntheticTrace {
             ((total_pages as f64 * params.streaming_fraction) as u64).clamp(1, total_pages - 1);
         let working_pages = total_pages - streaming_pages;
         let zipf = ZipfSampler::new(working_pages as usize, params.zipf_exponent);
+        Self::with_zipf(params, streaming_pages, zipf, base, seed)
+    }
+
+    /// A fresh generator with this one's parameters over
+    /// `[base, base + footprint)`: the same stream as
+    /// `SyntheticTrace::new(self.params().clone(), base, seed)`, but sharing
+    /// this generator's Zipf table instead of building another.
+    pub fn fork(&self, base: u64, seed: u64) -> Self {
+        let zipf = self.zipf.clone();
+        Self::with_zipf(self.params.clone(), self.streaming_pages, zipf, base, seed)
+    }
+
+    fn with_zipf(
+        params: SyntheticParams,
+        streaming_pages: u64,
+        zipf: ZipfSampler,
+        base: u64,
+        seed: u64,
+    ) -> Self {
         SyntheticTrace {
             base,
             streaming_pages,
-            working_pages,
             zipf,
             rng: XorShiftRng::new(seed),
             stream_cursor: 0,
@@ -118,8 +135,7 @@ impl SyntheticTrace {
         } else {
             let page = self.zipf.sample(&mut self.rng) as u64;
             // Working-set pages live after the streaming region.
-            let page_line_base =
-                (self.streaming_pages + page % self.working_pages) * (PAGE_SIZE / CACHE_LINE_SIZE);
+            let page_line_base = (self.streaming_pages + page) * (PAGE_SIZE / CACHE_LINE_SIZE);
             let lines_per_page = PAGE_SIZE / CACHE_LINE_SIZE;
             // Real programs revisit the *same* lines of a hot page (a node's
             // fields, a row of a matrix), so the visit usually starts at a

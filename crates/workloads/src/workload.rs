@@ -4,6 +4,7 @@
 use crate::graph::{GraphKernel, GraphKernelTrace, SyntheticGraph};
 use crate::mix::SpecMix;
 use crate::spec::SpecProgram;
+use crate::synthetic::SyntheticTrace;
 use crate::trace::{TraceFactory, TraceGenerator};
 use std::sync::Arc;
 
@@ -148,25 +149,33 @@ impl Workload {
             }
             WorkloadKind::Spec(program) => {
                 let per_core = (self.total_footprint_bytes / cores as u64).max(2 * 4096);
+                // One Zipf table, shared by every core's private copy.
+                let prototype = SyntheticTrace::new(program.params(per_core), 0, 0);
                 (0..cores)
                     .map(|core| {
-                        program.build(
-                            per_core,
+                        Box::new(prototype.fork(
                             core as u64 * region_stride,
                             self.seed.wrapping_add(core as u64 * 1013),
-                        )
+                        )) as Box<dyn TraceGenerator>
                     })
                     .collect()
             }
             WorkloadKind::Mix(mix) => {
                 let per_core = (self.total_footprint_bytes / cores as u64).max(2 * 4096);
+                // Cores run the mix's programs round-robin: one prototype
+                // (and Zipf table) per program in use.
+                let prototypes: Vec<SyntheticTrace> = mix
+                    .programs()
+                    .iter()
+                    .take(cores)
+                    .map(|program| SyntheticTrace::new(program.params(per_core), 0, 0))
+                    .collect();
                 (0..cores)
                     .map(|core| {
-                        mix.program_for_core(core).build(
-                            per_core,
+                        Box::new(prototypes[core % prototypes.len()].fork(
                             core as u64 * region_stride,
                             self.seed.wrapping_add(core as u64 * 7919),
-                        )
+                        )) as Box<dyn TraceGenerator>
                     })
                     .collect()
             }
