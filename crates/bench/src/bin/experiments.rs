@@ -11,9 +11,8 @@
 //! `--jobs N` (worker threads; default: available parallelism),
 //! `--no-store` (disable the persistent result store), `--no-snapshot`
 //! (disable warmed-state snapshot capture/resume; also honoured as the
-//! `BANSHEE_NO_SNAPSHOT=1` environment variable), `--freq-backend B`
-//! (frequency-tracking backend, `exact` or `cms:<width>x<depth>`; also
-//! honoured as `BANSHEE_FREQ_BACKEND=B`), `--help`.
+//! `BANSHEE_NO_SNAPSHOT=1` environment variable), `--telemetry DIR`,
+//! `--telemetry-interval N`, `--help`.
 //! Output: tables on stdout + JSON under `target/experiments/`, cell cache
 //! under `target/experiments/store/` (a re-run resumes from it), and a
 //! `run_summary.json` with per-experiment wall-clock times and scale
@@ -135,13 +134,11 @@ fn print_all(tables: Vec<Table>) {
 fn print_usage() {
     println!(
         "usage: experiments [EXPERIMENT ...] [--quick | --smoke] [--jobs N] \
-         [--no-store] [--no-snapshot] [--telemetry DIR] [--telemetry-interval N] \
-         [--freq-backend B]"
+         [--no-store] [--no-snapshot] [--telemetry DIR] [--telemetry-interval N]"
     );
     println!(
         "       experiments scenario FILE... [--quick | --smoke] [--jobs N] \
-         [--no-store] [--no-snapshot] [--telemetry DIR] [--telemetry-interval N] \
-         [--freq-backend B]"
+         [--no-store] [--no-snapshot] [--telemetry DIR] [--telemetry-interval N]"
     );
     println!();
     println!("Regenerates the paper's tables and figures. With no experiment");
@@ -176,11 +173,6 @@ fn print_usage() {
     println!("              (BANSHEE_TELEMETRY=DIR does the same)");
     println!("  --telemetry-interval N  sample every N instructions (default");
     println!("              100000; BANSHEE_TELEMETRY_INTERVAL=N does the same)");
-    println!("  --freq-backend B  track page/line access frequencies with backend");
-    println!("              B: `exact` (default; per-page hash maps) or");
-    println!("              `cms:<width>x<depth>` (bounded-memory CountMinSketch,");
-    println!("              e.g. cms:4096x4). Non-default backends re-key the");
-    println!("              result store. (BANSHEE_FREQ_BACKEND=B does the same)");
     println!("  --help      print this message and exit");
     println!();
     println!("Tables are printed to stdout; raw numbers are written as JSON");
@@ -199,15 +191,6 @@ struct CliArgs {
     no_snapshot: bool,
     telemetry_dir: Option<PathBuf>,
     telemetry_interval: Option<u64>,
-    freq_backend: Option<banshee_common::FrequencyBackendKind>,
-}
-
-fn parse_freq_backend(
-    value: &str,
-    source: &str,
-) -> Result<banshee_common::FrequencyBackendKind, String> {
-    banshee_common::FrequencyBackendKind::parse(value)
-        .map_err(|e| format!("invalid {source} value '{value}': {e}"))
 }
 
 fn parse_args(args: &[String]) -> Result<CliArgs, String> {
@@ -225,9 +208,6 @@ fn parse_args(args: &[String]) -> Result<CliArgs, String> {
                 .parse()
                 .map_err(|_| format!("invalid BANSHEE_TELEMETRY_INTERVAL value '{value}'"))?,
         );
-    }
-    if let Ok(value) = std::env::var("BANSHEE_FREQ_BACKEND") {
-        cli.freq_backend = Some(parse_freq_backend(&value, "BANSHEE_FREQ_BACKEND")?);
     }
     let mut i = 0;
     while i < args.len() {
@@ -276,19 +256,10 @@ fn parse_args(args: &[String]) -> Result<CliArgs, String> {
                     .parse()
                     .map_err(|_| format!("invalid --telemetry-interval value '{value}'"))?,
             );
-        } else if arg == "--freq-backend" {
-            i += 1;
-            let value = args
-                .get(i)
-                .ok_or_else(|| "--freq-backend requires a value".to_string())?;
-            cli.freq_backend = Some(parse_freq_backend(value, "--freq-backend")?);
-        } else if let Some(value) = arg.strip_prefix("--freq-backend=") {
-            cli.freq_backend = Some(parse_freq_backend(value, "--freq-backend")?);
         } else if arg.starts_with('-') {
             return Err(format!(
                 "unknown flag '{arg}'; valid flags: --quick, --smoke, --jobs N, --no-store, \
-                 --no-snapshot, --telemetry DIR, --telemetry-interval N, \
-                 --freq-backend B, --help"
+                 --no-snapshot, --telemetry DIR, --telemetry-interval N, --help"
             ));
         } else {
             cli.selected.push(arg.clone());
@@ -323,7 +294,6 @@ fn main() {
         no_snapshot,
         telemetry_dir,
         telemetry_interval,
-        freq_backend,
     } = cli;
     if selected.is_empty() {
         selected.push("all".to_string());
@@ -366,10 +336,6 @@ fn main() {
         .with_jobs(jobs)
         .with_progress(true)
         .with_snapshots(!no_snapshot);
-    if let Some(backend) = freq_backend {
-        runner = runner.with_frequency_backend(backend);
-        eprintln!("frequency backend: {}", backend.label());
-    }
     if !no_store {
         runner = runner.with_store(output_dir().join("store"));
     }
@@ -557,15 +523,6 @@ fn main() {
         eprintln!("[batman] bandwidth balancing ...");
         timed(&mut timings, "batman", &mut || {
             print_all(experiments::batman::report(
-                &runner,
-                &experiments::sweep_suite(),
-            ));
-        });
-    }
-    if want("sketch_fidelity") {
-        eprintln!("[sketch_fidelity] CountMinSketch vs exact frequency tracking ...");
-        timed(&mut timings, "sketch_fidelity", &mut || {
-            print_all(experiments::sketch_fidelity::report(
                 &runner,
                 &experiments::sweep_suite(),
             ));

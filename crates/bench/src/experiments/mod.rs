@@ -13,7 +13,6 @@
 //! | [`table6`] | Table 6 — associativity vs. miss rate |
 //! | [`large_pages`] | Section 5.4.1 — 2 MiB large pages |
 //! | [`batman`] | Section 5.4.2 — bandwidth balancing |
-//! | [`sketch_fidelity`] | CountMinSketch vs exact frequency tracking |
 //! | [`scenario`] | Data-driven scenario files (`experiments scenario FILE...`) |
 
 pub mod batman;
@@ -25,7 +24,6 @@ pub mod fig8;
 pub mod fig9;
 pub mod large_pages;
 pub mod scenario;
-pub mod sketch_fidelity;
 pub mod table1;
 pub mod table5;
 pub mod table6;
@@ -64,7 +62,7 @@ pub fn run_sweep_matrix(runner: &Runner) -> MatrixResults {
 }
 
 /// All experiment names accepted by the `experiments` binary.
-pub const EXPERIMENT_NAMES: [&str; 13] = [
+pub const EXPERIMENT_NAMES: [&str; 12] = [
     "fig4",
     "fig5",
     "fig6",
@@ -76,7 +74,6 @@ pub const EXPERIMENT_NAMES: [&str; 13] = [
     "table6",
     "large_pages",
     "batman",
-    "sketch_fidelity",
     "all",
 ];
 

@@ -317,9 +317,6 @@ pub struct Runner {
     /// each cell actually emits telemetry; results are byte-identical
     /// either way.
     pub telemetry: Option<TelemetryOptions>,
-    /// Frequency-tracking backend applied to every cell's configuration
-    /// (`--freq-backend` / `BANSHEE_FREQ_BACKEND`; exact by default).
-    pub frequency_backend: banshee_common::FrequencyBackendKind,
     /// Tallies of simulated vs. store-resumed cells (shared across clones).
     pub counters: RunnerCounters,
 }
@@ -336,16 +333,8 @@ impl Runner {
             snapshots: true,
             progress: false,
             telemetry: None,
-            frequency_backend: banshee_common::FrequencyBackendKind::Exact,
             counters: RunnerCounters::default(),
         }
-    }
-
-    /// Track page/line access frequencies with `backend` in every cell
-    /// (exact hash maps by default; non-default backends re-key the store).
-    pub fn with_frequency_backend(mut self, backend: banshee_common::FrequencyBackendKind) -> Self {
-        self.frequency_backend = backend;
-        self
     }
 
     /// Use `jobs` worker threads (`0` = available parallelism).
@@ -409,7 +398,6 @@ impl Runner {
         cfg.total_instructions = self.scale.instructions();
         cfg.warmup_instructions = self.scale.warmup_instructions();
         cfg.seed = self.seed;
-        cfg.frequency_backend = self.frequency_backend;
         cfg
     }
 
@@ -507,8 +495,9 @@ impl Runner {
     /// spent purely simulating (snapshot get/resume/put I/O excluded, so
     /// the reported instr/s measures the simulator, not the disk).
     ///
-    /// A stale or corrupt image is *never* fatal: any resume failure is
-    /// reported and the cell re-runs warm-up cold, overwriting the bad
+    /// A stale or corrupt image is *never* fatal: an image the store screens
+    /// out (old format, other model revision or key) and any resume failure
+    /// are reported, and the cell re-runs warm-up cold, overwriting the bad
     /// image with a fresh one.
     fn simulate_cell(
         &self,
@@ -520,7 +509,15 @@ impl Runner {
         let snap_key = System::warmed_key_material(&cell.config, &cell.workload_ident);
         if self.snapshots {
             if let Some(store) = store {
-                if let Some(image) = store.get_snapshot(&snap_key, SimConfig::MODEL_REVISION) {
+                let image = store.get_snapshot(&snap_key, SimConfig::MODEL_REVISION);
+                if image.is_none() && store.snapshot_path(&snap_key).exists() {
+                    eprintln!(
+                        "[exec] warning: discarding warmed image for {} x {} (stale format, \
+                         model revision or key); re-warming",
+                        cell.workload_label, cell.design_label
+                    );
+                }
+                if let Some(image) = image {
                     match System::resume_warmed(
                         cell.config.clone(),
                         &*cell.factory,
@@ -980,6 +977,64 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    #[test]
+    fn old_format_images_are_rewarmed_and_replaced() {
+        let dir = std::env::temp_dir().join(format!(
+            "banshee_runner_old_snap_test_{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let kind = WorkloadKind::Spec(SpecProgram::Gcc);
+        let design = DramCacheDesign::Hma;
+        let image_path = || {
+            std::fs::read_dir(dir.join("snapshots"))
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .find(|p| p.extension().is_some_and(|x| x == "snap"))
+                .expect("a warmed image in the store")
+        };
+        let format_of = |bytes: &[u8]| u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+
+        // Pass 1 leaves a warmed image behind; rewrite its format field to
+        // the previous encoding, as a store written before the bump holds.
+        let first = Runner::new(ExperimentScale::Smoke).with_store(&dir);
+        first.run(design, kind);
+        let path = image_path();
+        let mut bytes = std::fs::read(&path).unwrap();
+        assert_eq!(format_of(&bytes), banshee_common::SNAPSHOT_FORMAT);
+        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+
+        // Pass 2 (new budget, so the result cache misses): the old image is
+        // discarded and warm-up re-runs cold, reproducing a cold run.
+        let second = Runner::new(ExperimentScale::Smoke).with_store(&dir);
+        let mut cfg = second.config(design);
+        cfg.total_instructions /= 2;
+        let rewarmed = second.run_with(cfg.clone(), kind);
+        assert_eq!(second.counters.cold(), 1);
+        assert_eq!(second.counters.resumed_warm(), 0);
+        let cold = Runner::new(ExperimentScale::Smoke).run_with(cfg.clone(), kind);
+        let json = |r: &SimResult| serde_json::to_string_pretty(r).unwrap();
+        assert_eq!(json(&rewarmed), json(&cold));
+        assert_eq!(
+            format_of(&std::fs::read(image_path()).unwrap()),
+            banshee_common::SNAPSHOT_FORMAT,
+            "the re-warmed cell overwrites the old image"
+        );
+
+        // Pass 3 resumes from the overwritten image.
+        let third = Runner::new(ExperimentScale::Smoke).with_store(&dir);
+        let mut cfg3 = cfg;
+        cfg3.total_instructions /= 2;
+        let resumed = third.run_with(cfg3.clone(), kind);
+        assert_eq!(third.counters.resumed_warm(), 1);
+        assert_eq!(third.counters.cold(), 0);
+        let cold3 = Runner::new(ExperimentScale::Smoke).run_with(cfg3, kind);
+        assert_eq!(json(&resumed), json(&cold3));
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// Cells are the only unit of parallelism: `jobs = 0` resolves to the
     /// host's available parallelism clamped to the batch, and an explicit
     /// request is clamped to the batch but never raised.
@@ -1044,20 +1099,5 @@ mod tests {
             a,
             runner.cell_key_material(&cfg, WorkloadKind::Spec(SpecProgram::Gcc))
         );
-        // A sketch backend is a different store cell; the exact default
-        // reproduces historical keys.
-        let sketch = Runner::new(ExperimentScale::Smoke).with_frequency_backend(
-            banshee_common::FrequencyBackendKind::Cms {
-                width: 4096,
-                depth: 4,
-            },
-        );
-        let d = sketch.cell_key_material(
-            &sketch.config(DramCacheDesign::Banshee),
-            WorkloadKind::Spec(SpecProgram::Gcc),
-        );
-        assert_ne!(a, d);
-        assert!(!a.contains("frequency_backend"));
-        assert!(d.contains("frequency_backend"));
     }
 }

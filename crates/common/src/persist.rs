@@ -38,7 +38,10 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"BSHSNAP\0";
 /// a layout shift would otherwise misalign every downstream section.
 /// Format 2: frequency-tracker images replaced the raw per-page count/mask
 /// maps inside HMA, the footprint predictor and FBR.
-pub const SNAPSHOT_FORMAT: u32 = 2;
+/// Format 3: HMA and the footprint predictor persist their exact maps again
+/// (sorted `(page, value)` pairs), without the tracker tag; HMA's candidate
+/// set and FBR's admission flag are gone.
+pub const SNAPSHOT_FORMAT: u32 = 3;
 
 /// Everything that can go wrong decoding a snapshot. Mirrors the typed
 /// errors of `trace_file.rs`: every variant is actionable and none panics.
@@ -565,6 +568,32 @@ impl<T: Persist> Persist for Vec<T> {
     }
 }
 
+/// The per-page maps of HMA (miss counts) and the footprint predictor
+/// (touched-line masks). Written as `(key, value)` pairs sorted by key, so
+/// the image does not depend on hash-map iteration order; a repeated key is
+/// corrupt input.
+impl Persist for crate::hash::FnvHashMap<u64, u64> {
+    fn save(&self, w: &mut SnapshotWriter) {
+        let mut entries: Vec<(u64, u64)> = self.iter().map(|(&k, &v)| (k, v)).collect();
+        entries.sort_unstable_by_key(|&(k, _)| k);
+        w.seq_with(&entries, |w, &(k, v)| {
+            w.u64(k);
+            w.u64(v);
+        });
+    }
+    fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let len = r.seq_len(16)?;
+        let mut map = Self::default();
+        for _ in 0..len {
+            let k = r.u64()?;
+            if map.insert(k, r.u64()?).is_some() {
+                return Err(SnapshotError::Corrupt(format!("duplicate map key {k}")));
+            }
+        }
+        Ok(map)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -575,6 +604,30 @@ mod tests {
             key_hash: 0xDEAD_BEEF_F00D_CAFE,
             instructions: 1_500_000,
         }
+    }
+
+    #[test]
+    fn u64_maps_save_sorted_and_reject_duplicate_keys() {
+        use crate::hash::FnvHashMap;
+        let map: FnvHashMap<u64, u64> = [(9, 1), (2, 7), (5, 3)].into_iter().collect();
+        let mut w = SnapshotWriter::new();
+        map.save(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = SnapshotReader::new(&bytes);
+        assert_eq!(FnvHashMap::restore(&mut r).unwrap(), map);
+        assert!(r.is_exhausted());
+
+        let mut w = SnapshotWriter::new();
+        w.seq_with(&[(2u64, 7u64), (2, 8)], |w, &(k, v)| {
+            w.u64(k);
+            w.u64(v);
+        });
+        let bytes = w.into_bytes();
+        let e = FnvHashMap::<u64, u64>::restore(&mut SnapshotReader::new(&bytes)).unwrap_err();
+        assert!(
+            matches!(e, SnapshotError::Corrupt(ref m) if m.contains("duplicate")),
+            "{e}"
+        );
     }
 
     #[test]

@@ -14,17 +14,10 @@
 //! between fill and eviction, keeps a running average, and rounds it up to
 //! the footprint granularity. The prediction therefore converges to the
 //! profiled per-workload average the paper uses.
-//!
-//! The touched-line sets live behind the [`FrequencyTracker`] lane API: the
-//! default `exact` backend keeps one 64-bit mask per cached page (the
-//! historical behaviour, byte-identical), while the `cms` backend folds the
-//! lanes into a fixed-size sketch so tracking memory stops growing with the
-//! resident set.
 
 use banshee_common::addr::LINES_PER_PAGE;
-use banshee_common::freq::{restore_tracker, save_tracker, FrequencyBackendKind, FrequencyTracker};
 use banshee_common::persist::{Persist, SnapshotError, SnapshotReader, SnapshotWriter};
-use banshee_common::PageNum;
+use banshee_common::{FnvHashMap, PageNum};
 
 pub use banshee_common::addr::LINES_PER_PAGE as PAGE_LINES;
 
@@ -32,8 +25,9 @@ pub use banshee_common::addr::LINES_PER_PAGE as PAGE_LINES;
 /// per page residency), managed at a configurable line granularity.
 #[derive(Debug, Clone)]
 pub struct FootprintPredictor {
-    /// Touched-line lane state for every currently tracked (cached) page.
-    tracker: Box<dyn FrequencyTracker>,
+    /// Touched-line mask (bit `i` = line `i`) of every currently tracked
+    /// (cached) page.
+    touched: FnvHashMap<u64, u64>,
     /// Granularity (in lines) at which footprints are managed: touched-line
     /// counts are rounded up to a multiple of this.
     granularity: u64,
@@ -45,16 +39,10 @@ pub struct FootprintPredictor {
 
 impl FootprintPredictor {
     /// Create a predictor managing footprints at `granularity` lines
-    /// (the paper models 4), with exact per-page tracking.
+    /// (the paper models 4).
     pub fn new(granularity: u64) -> Self {
-        Self::with_backend(granularity, FrequencyBackendKind::Exact)
-    }
-
-    /// Create a predictor whose touched-line state lives on the given
-    /// frequency-tracking backend.
-    pub fn with_backend(granularity: u64, backend: FrequencyBackendKind) -> Self {
         FootprintPredictor {
-            tracker: backend.build(),
+            touched: FnvHashMap::default(),
             granularity: granularity.clamp(1, LINES_PER_PAGE),
             footprint_sum: 0,
             completed: 0,
@@ -64,21 +52,25 @@ impl FootprintPredictor {
     /// Start tracking a page that was just filled into the DRAM cache. The
     /// line that triggered the fill counts as touched.
     pub fn on_fill(&mut self, page: PageNum, trigger_line_index: u64) {
-        self.tracker.lane_clear(page.raw());
-        self.tracker
-            .lane_touch(page.raw(), trigger_line_index, false);
+        self.touched
+            .insert(page.raw(), line_bit(trigger_line_index));
     }
 
-    /// Record an access to a cached page.
+    /// Record an access to a cached page; accesses to untracked pages are
+    /// ignored.
     pub fn on_access(&mut self, page: PageNum, line_index: u64) {
-        self.tracker.lane_touch(page.raw(), line_index, true);
+        if let Some(mask) = self.touched.get_mut(&page.raw()) {
+            *mask |= line_bit(line_index);
+        }
     }
 
     /// Stop tracking an evicted page and fold its measured footprint into the
     /// running average. Returns the page's own (rounded) footprint in lines.
     pub fn on_evict(&mut self, page: PageNum) -> u64 {
-        let touched = self.tracker.lane_count(page.raw());
-        self.tracker.lane_clear(page.raw());
+        let touched = self
+            .touched
+            .remove(&page.raw())
+            .map_or(0, |mask| u64::from(mask.count_ones()));
         let rounded = self.round(touched.max(1));
         self.footprint_sum += rounded;
         self.completed += 1;
@@ -118,19 +110,15 @@ impl FootprintPredictor {
         }
     }
 
-    /// The backend the touched-line state lives on.
-    pub fn backend(&self) -> FrequencyBackendKind {
-        self.tracker.kind()
-    }
-
-    /// Append the tracker's telemetry gauges to `out`.
-    pub fn tracker_gauges(&self, out: &mut Vec<(&'static str, f64)>) {
-        self.tracker.gauges(out);
-    }
-
     fn round(&self, lines: u64) -> u64 {
         lines.div_ceil(self.granularity) * self.granularity
     }
+}
+
+/// The mask bit of line `line_index` within its page.
+#[inline]
+fn line_bit(line_index: u64) -> u64 {
+    1u64 << (line_index % LINES_PER_PAGE)
 }
 
 impl Persist for FootprintPredictor {
@@ -138,7 +126,7 @@ impl Persist for FootprintPredictor {
         w.u64(self.granularity);
         w.u64(self.footprint_sum);
         w.u64(self.completed);
-        save_tracker(self.tracker.as_ref(), w);
+        self.touched.save(w);
     }
     fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
         let granularity = r.u64()?;
@@ -149,9 +137,9 @@ impl Persist for FootprintPredictor {
         }
         let footprint_sum = r.u64()?;
         let completed = r.u64()?;
-        let tracker = restore_tracker(r)?;
+        let touched = FnvHashMap::restore(r)?;
         Ok(FootprintPredictor {
-            tracker,
+            touched,
             granularity,
             footprint_sum,
             completed,
@@ -169,7 +157,6 @@ mod tests {
         let p = FootprintPredictor::new(4);
         assert_eq!(p.predicted_lines(), 64);
         assert_eq!(p.predicted_bytes(), 4096);
-        assert_eq!(p.backend(), FrequencyBackendKind::Exact);
     }
 
     #[test]
@@ -226,29 +213,6 @@ mod tests {
         assert_eq!(p.predicted_lines(), 2);
     }
 
-    #[test]
-    fn sketch_backend_measures_footprints_approximately() {
-        let backend = FrequencyBackendKind::Cms {
-            width: 4096,
-            depth: 4,
-        };
-        let mut p = FootprintPredictor::with_backend(1, backend);
-        assert_eq!(p.backend(), backend);
-        let page = PageNum::new(11);
-        p.on_fill(page, 0);
-        for i in 1..8 {
-            p.on_access(page, i);
-        }
-        // A sketch never undercounts lanes (it may overcount on collision).
-        let fp = p.on_evict(page);
-        assert!((8..=64).contains(&fp), "footprint {fp}");
-        // The sketch cannot test membership, so accesses to untracked
-        // pages are recorded too — the documented approximation.
-        let mut gauges = Vec::new();
-        p.tracker_gauges(&mut gauges);
-        assert!(gauges.iter().any(|(n, _)| *n == "freq_sketch_occupancy"));
-    }
-
     proptest! {
         /// The predicted footprint never exceeds a full page and is always a
         /// positive multiple of the granularity.
@@ -275,19 +239,13 @@ mod tests {
 
         /// save → restore → save is byte-identical and predictions survive
         /// the round trip, including the in-flight (filled, not yet
-        /// evicted) pages — on both backends.
+        /// evicted) pages.
         #[test]
         fn prop_persist_round_trip(
             touches in proptest::collection::vec((0u64..64, 0u64..64, 0u8..2), 0..80),
             gran in 1u64..16,
-            sketch in proptest::arbitrary::any::<bool>(),
         ) {
-            let backend = if sketch {
-                FrequencyBackendKind::Cms { width: 256, depth: 2 }
-            } else {
-                FrequencyBackendKind::Exact
-            };
-            let mut p = FootprintPredictor::with_backend(gran, backend);
+            let mut p = FootprintPredictor::new(gran);
             for (i, (first, line, evict)) in touches.iter().enumerate() {
                 let page = PageNum::new((i % 8) as u64);
                 p.on_fill(page, *first);
@@ -307,7 +265,6 @@ mod tests {
             prop_assert!(r.is_exhausted());
             prop_assert_eq!(snap(&back), bytes.clone());
             prop_assert_eq!(p.predicted_lines(), back.predicted_lines());
-            prop_assert_eq!(p.backend(), back.backend());
             // Truncation anywhere strictly inside the image is typed.
             let cut = bytes.len() / 2;
             let mut r = SnapshotReader::new(&bytes[..cut]);

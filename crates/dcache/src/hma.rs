@@ -17,10 +17,10 @@
 use crate::controller::{DemandStats, DramCacheController};
 use crate::design::DCacheConfig;
 use crate::plan::{DramOp, MemRequest, PlanSink, RequestKind, SideEffect};
-use banshee_common::freq::{restore_tracker, save_tracker, FrequencyBackendKind, FrequencyTracker};
 use banshee_common::persist::{Persist, SnapshotError, SnapshotReader, SnapshotWriter};
 use banshee_common::{
-    Cycle, CyclesPerSec, FnvHashSet, PageNum, ReplaySet, StatSet, TrafficClass, PAGE_SIZE,
+    Cycle, CyclesPerSec, FnvHashMap, FnvHashSet, PageNum, ReplaySet, StatSet, TrafficClass,
+    PAGE_SIZE,
 };
 use banshee_memhier::PteMapInfo;
 
@@ -56,18 +56,9 @@ pub struct Hma {
     /// to stay byte-identical with a cold one — while staying bit-identical
     /// to plain `FnvHashSet` iteration on cold runs.
     cached: ReplaySet<PageNum>,
-    /// Access counts within the current interval, behind the unified
-    /// frequency API. The `exact` backend reproduces the historical
-    /// per-page map byte-for-byte; the `cms` backend bounds the memory.
-    tracker: Box<dyn FrequencyTracker>,
-    /// Candidate pages for backends that cannot enumerate their keys (the
-    /// sketch): the distinct pages recorded this interval, in first-touch
-    /// order, capped at `candidate_cap`. Unused (and empty) with `exact`.
-    candidates: ReplaySet<PageNum>,
-    /// Bound on `candidates`: everything rankable plus one interval's worth
-    /// of migrations. Later first touches are not ranked this interval —
-    /// the price of bounded memory.
-    candidate_cap: usize,
+    /// Demand-miss count of every page touched in the current interval,
+    /// keyed by page number.
+    counts: FnvHashMap<u64, u64>,
     policy: HmaPolicy,
     cpu_clock: CyclesPerSec,
     demand: DemandStats,
@@ -77,35 +68,17 @@ pub struct Hma {
 }
 
 impl Hma {
-    /// Build an HMA controller with the default policy and exact counting.
+    /// Build an HMA controller with the default policy.
     pub fn new(config: &DCacheConfig) -> Self {
         Self::with_policy(config, HmaPolicy::default())
     }
 
-    /// Build an HMA controller with the default policy on the given
-    /// frequency-tracking backend.
-    pub fn with_backend(config: &DCacheConfig, backend: FrequencyBackendKind) -> Self {
-        Self::with_policy_backend(config, HmaPolicy::default(), backend)
-    }
-
-    /// Build an HMA controller with an explicit policy and exact counting.
+    /// Build an HMA controller with an explicit policy.
     pub fn with_policy(config: &DCacheConfig, policy: HmaPolicy) -> Self {
-        Self::with_policy_backend(config, policy, FrequencyBackendKind::Exact)
-    }
-
-    /// Build an HMA controller with an explicit policy and backend.
-    pub fn with_policy_backend(
-        config: &DCacheConfig,
-        policy: HmaPolicy,
-        backend: FrequencyBackendKind,
-    ) -> Self {
-        let capacity_pages = config.capacity_pages().max(1);
         Hma {
-            capacity_pages,
+            capacity_pages: config.capacity_pages().max(1),
             cached: ReplaySet::new(),
-            tracker: backend.build(),
-            candidates: ReplaySet::new(),
-            candidate_cap: capacity_pages as usize + policy.max_migrations,
+            counts: FnvHashMap::default(),
             policy,
             cpu_clock: CyclesPerSec::ghz(2.7),
             demand: DemandStats::new(4096),
@@ -131,16 +104,7 @@ impl DramCacheController for Hma {
         let hit = self.cached.contains(&page);
         match req.kind {
             RequestKind::DemandMiss => {
-                self.tracker.record(page.raw());
-                // Sketch backends cannot enumerate their keys at ranking
-                // time, so remember (a bounded number of) the distinct
-                // pages seen this interval.
-                if matches!(self.tracker.kind(), FrequencyBackendKind::Cms { .. })
-                    && self.candidates.len() < self.candidate_cap
-                    && !self.candidates.contains(&page)
-                {
-                    self.candidates.insert(page);
-                }
+                *self.counts.entry(page.raw()).or_insert(0) += 1;
                 self.demand.record(hit);
                 if hit {
                     sink.then(DramOp::in_package(req.addr, 64, TrafficClass::HitData))
@@ -162,22 +126,14 @@ impl DramCacheController for Hma {
 
     fn epoch(&mut self, _now: Cycle, sink: &mut PlanSink) -> bool {
         self.intervals += 1;
-        // Rank pages by access count in this interval. Exact backends
-        // enumerate every counted page; the sketch is ranked through the
-        // bounded candidate list (estimates may collide upward, and a key
-        // halved to zero drops out, exactly as an uncounted page would).
-        let mut ranked: Vec<(PageNum, u64)> = match self.tracker.enumerate_sorted() {
-            Some(entries) => entries
-                .into_iter()
-                .map(|(page, count)| (PageNum::new(page), count))
-                .collect(),
-            None => self
-                .candidates
-                .iter()
-                .map(|page| (*page, self.tracker.estimate(page.raw())))
-                .filter(|&(_, count)| count > 0)
-                .collect(),
-        };
+        // Rank pages by access count in this interval: count descending,
+        // then page ascending. That is a total order, so the ranking does
+        // not depend on the map's iteration order.
+        let mut ranked: Vec<(PageNum, u64)> = self
+            .counts
+            .iter()
+            .map(|(&page, &count)| (PageNum::new(page), count))
+            .collect();
         ranked.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.raw().cmp(&b.0.raw())));
         let want: FnvHashSet<PageNum> = ranked
             .iter()
@@ -205,10 +161,7 @@ impl DramCacheController for Hma {
             .copied()
             .collect();
 
-        self.tracker.reset();
-        if !self.candidates.is_empty() {
-            self.candidates = ReplaySet::new();
-        }
+        self.counts.clear();
         if to_insert.is_empty() && to_evict.is_empty() {
             return false;
         }
@@ -288,13 +241,6 @@ impl DramCacheController for Hma {
         s.add("hma_migrations_out", self.migrations_out);
         s.add("hma_intervals", self.intervals);
         s.add("hma_resident_pages", self.cached.len() as u64);
-        // Tracker-shape stats only exist off the default backend, so the
-        // exact path's stat set (and the golden fixtures that pin it)
-        // stays unchanged.
-        if matches!(self.tracker.kind(), FrequencyBackendKind::Cms { .. }) {
-            s.add("hma_freq_memory_bytes", self.tracker.memory_bytes());
-            s.add("hma_freq_candidates", self.candidates.len() as u64);
-        }
         s
     }
 
@@ -307,7 +253,6 @@ impl DramCacheController for Hma {
         out.push(("recent_miss_rate", self.demand.recent_miss_rate()));
         out.push(("migrations_in", self.migrations_in as f64));
         out.push(("migrations_out", self.migrations_out as f64));
-        self.tracker.gauges(out);
     }
 
     fn save_state(&self, w: &mut SnapshotWriter) {
@@ -316,12 +261,10 @@ impl DramCacheController for Hma {
         w.u64(self.migrations_out);
         w.u64(self.intervals);
         // Residency iteration order is semantic (the eviction scan walks
-        // it), so the ReplaySet persists its mutation journal; the tracker
-        // writes a self-describing image (sorted maps for `exact`, raw
-        // counter words for the sketch).
+        // it), so the ReplaySet persists its mutation journal. The counts'
+        // order is not: the ranking sorts them.
         self.cached.save(w);
-        save_tracker(self.tracker.as_ref(), w);
-        self.candidates.save(w);
+        self.counts.save(w);
         self.demand.save(w);
     }
 
@@ -337,16 +280,7 @@ impl DramCacheController for Hma {
         self.migrations_out = r.u64()?;
         self.intervals = r.u64()?;
         self.cached = ReplaySet::restore(r)?;
-        let tracker = restore_tracker(r)?;
-        if tracker.kind() != self.tracker.kind() {
-            return Err(SnapshotError::Corrupt(format!(
-                "hma image tracks frequencies with `{}`, this configuration expects `{}`",
-                tracker.kind().label(),
-                self.tracker.kind().label()
-            )));
-        }
-        self.tracker = tracker;
-        self.candidates = ReplaySet::restore(r)?;
+        self.counts = FnvHashMap::restore(r)?;
         self.demand = DemandStats::restore(r)?;
         Ok(())
     }
@@ -437,30 +371,69 @@ mod tests {
     }
 
     #[test]
-    fn sketch_backend_still_migrates_hot_pages() {
-        let backend = FrequencyBackendKind::Cms {
-            width: 4096,
-            depth: 4,
+    fn ranking_does_not_depend_on_record_order() {
+        let config = DCacheConfig {
+            capacity: MemSize::kib(16), // 4 pages
+            ..DCacheConfig::paper_default()
         };
-        let mut c = Hma::with_backend(&tiny(), backend);
-        for _ in 0..10 {
-            c.access_collected(&MemRequest::demand(PageNum::new(5).base_addr(), 0), 0);
+        // (page, demand misses): ties at 3 and at 2 straddle the 4-page
+        // capacity, so the page-ascending tie-break decides the plan.
+        let misses = [
+            (7u64, 3u64),
+            (2, 3),
+            (11, 2),
+            (5, 2),
+            (9, 2),
+            (4, 1),
+            (8, 1),
+        ];
+        let grouped: Vec<u64> = misses
+            .iter()
+            .flat_map(|&(page, n)| std::iter::repeat_n(page, n as usize))
+            .collect();
+        let mut interleaved: Vec<u64> = Vec::new();
+        for round in (0..3).rev() {
+            for &(page, n) in misses.iter().rev() {
+                if round < n {
+                    interleaved.push(page);
+                }
+            }
         }
-        for _ in 0..5 {
-            c.access_collected(&MemRequest::demand(PageNum::new(9).base_addr(), 0), 0);
-        }
-        c.access_collected(&MemRequest::demand(PageNum::new(100).base_addr(), 0), 0);
-        c.epoch_collected(1_000_000).expect("migrations expected");
-        // At this width three pages cannot saturate the sketch, so the
-        // ranking matches the exact backend's.
-        assert_eq!(c.resident_pages(), 2);
-        assert!(c.current_mapping(PageNum::new(5)).cached);
-        assert!(c.current_mapping(PageNum::new(9)).cached);
-        assert!(!c.current_mapping(PageNum::new(100)).cached);
-        // The bounded-memory stats only appear off the exact default.
-        let has_mem = |s: &StatSet| s.iter().any(|(n, _)| n == "hma_freq_memory_bytes");
-        assert!(has_mem(&c.stats()));
-        assert!(!has_mem(&Hma::new(&tiny()).stats()));
+        assert_ne!(grouped, interleaved);
+
+        let plan_for = |order: &[u64]| {
+            let mut c = Hma::new(&config);
+            // A first interval makes pages 20..24 resident, so the second
+            // plan both inserts and evicts.
+            for page in 20u64..24 {
+                c.access_collected(&MemRequest::demand(PageNum::new(page).base_addr(), 0), 0);
+            }
+            c.epoch_collected(0).expect("first interval migrates");
+            for &page in order {
+                c.access_collected(&MemRequest::demand(PageNum::new(page).base_addr(), 0), 0);
+            }
+            let plan = c.epoch_collected(1).expect("second interval migrates");
+            (plan.background, plan.side_effects)
+        };
+        let (ops, effects) = plan_for(&grouped);
+        assert_eq!((ops.clone(), effects.clone()), plan_for(&interleaved));
+        // The two count-3 pages and the lowest count-2 pages move in.
+        let inserted: FnvHashSet<PageNum> = effects
+            .iter()
+            .find_map(|e| match e {
+                SideEffect::UpdatePageTable { updates } => Some(
+                    updates
+                        .iter()
+                        .filter(|(_, m)| m.cached)
+                        .map(|(p, _)| *p)
+                        .collect(),
+                ),
+                _ => None,
+            })
+            .expect("page-table update");
+        let expected: FnvHashSet<PageNum> = [2u64, 5, 7, 9].map(PageNum::new).into_iter().collect();
+        assert_eq!(inserted, expected);
+        assert_eq!(ops.len(), 16, "4 evictions + 4 insertions, 2 ops each");
     }
 
     #[test]

@@ -71,15 +71,6 @@ pub struct Tdc {
 impl Tdc {
     /// Build a TDC over the configured capacity.
     pub fn new(config: &DCacheConfig) -> Self {
-        Self::with_backend(config, banshee_common::FrequencyBackendKind::Exact)
-    }
-
-    /// Build a TDC whose footprint predictor tracks touched lines on the
-    /// given frequency backend.
-    pub fn with_backend(
-        config: &DCacheConfig,
-        backend: banshee_common::FrequencyBackendKind,
-    ) -> Self {
         let capacity_pages = config.capacity_pages().max(1);
         Tdc {
             frames: FnvHashMap::default(),
@@ -87,7 +78,7 @@ impl Tdc {
             free_slots: (0..capacity_pages).rev().collect(),
             capacity_pages,
             demand: DemandStats::new(4096),
-            footprint: FootprintPredictor::with_backend(config.footprint_granularity, backend),
+            footprint: FootprintPredictor::new(config.footprint_granularity),
             fills: 0,
             evictions: 0,
             map_probes: 0,
@@ -294,7 +285,6 @@ impl DramCacheController for Tdc {
         out.push(("recent_miss_rate", self.demand.recent_miss_rate()));
         out.push(("fills", self.fills as f64));
         out.push(("evictions", self.evictions as f64));
-        self.footprint.tracker_gauges(out);
     }
 
     fn save_state(&self, w: &mut SnapshotWriter) {
@@ -388,15 +378,7 @@ impl DramCacheController for Tdc {
             self.free_slots.push(slot);
         }
         self.demand = DemandStats::restore(r)?;
-        let footprint = FootprintPredictor::restore(r)?;
-        if footprint.backend() != self.footprint.backend() {
-            return Err(SnapshotError::Corrupt(format!(
-                "tdc image tracks footprints with `{}`, this configuration expects `{}`",
-                footprint.backend().label(),
-                self.footprint.backend().label()
-            )));
-        }
-        self.footprint = footprint;
+        self.footprint = FootprintPredictor::restore(r)?;
         Ok(())
     }
 }

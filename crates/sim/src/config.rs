@@ -2,7 +2,7 @@
 //! for laptop-sized runs).
 
 use banshee::BansheeConfig;
-use banshee_common::{Cycle, FrequencyBackendKind, MemSize};
+use banshee_common::{Cycle, MemSize};
 use banshee_dcache::{DCacheConfig, DramCacheDesign};
 use banshee_dram::DramConfig;
 use banshee_memhier::HierarchyConfig;
@@ -60,19 +60,14 @@ pub struct SimConfig {
     pub banshee: Option<BansheeConfig>,
     /// RNG seed forwarded to stochastic components.
     pub seed: u64,
-    /// How the designs track page/line access frequencies: exact hash maps
-    /// (the default) or a bounded-memory CountMinSketch.
-    pub frequency_backend: FrequencyBackendKind,
 }
 
-/// Hand-rolled to stay byte-identical to the historical *derived* output
-/// while `frequency_backend` is at its default: the `Debug` string is
-/// result-store key material (see [`SimConfig::cache_key_material`]), and
-/// appending the new field unconditionally would orphan every persisted
-/// result of an unchanged simulation. Off the default the field is
-/// appended, so sketch cells key separately. The exhaustive destructuring
-/// makes adding a field without deciding its key-material treatment a
-/// compile error.
+/// Hand-rolled although it renders exactly what `derive(Debug)` would: the
+/// `Debug` string is result-store key material (see
+/// [`SimConfig::cache_key_material`]), and `cargo tidy`'s key-material check
+/// reads the `.field(..)` calls here to prove every field is keyed. The
+/// exhaustive destructuring makes adding a field without deciding its
+/// key-material treatment a compile error.
 impl fmt::Debug for SimConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let SimConfig {
@@ -96,10 +91,9 @@ impl fmt::Debug for SimConfig {
             large_pages,
             banshee,
             seed,
-            frequency_backend,
         } = self;
-        let mut d = f.debug_struct("SimConfig");
-        d.field("cores", cores)
+        f.debug_struct("SimConfig")
+            .field("cores", cores)
             .field("design", design)
             .field("dcache", dcache)
             .field("hierarchy", hierarchy)
@@ -118,11 +112,8 @@ impl fmt::Debug for SimConfig {
             .field("use_batman", use_batman)
             .field("large_pages", large_pages)
             .field("banshee", banshee)
-            .field("seed", seed);
-        if *frequency_backend != FrequencyBackendKind::Exact {
-            d.field("frequency_backend", frequency_backend);
-        }
-        d.finish()
+            .field("seed", seed)
+            .finish()
     }
 }
 
@@ -152,7 +143,6 @@ impl SimConfig {
             large_pages: false,
             banshee: None,
             seed: 1,
-            frequency_backend: FrequencyBackendKind::Exact,
         }
     }
 
@@ -342,9 +332,6 @@ impl SimConfig {
                 };
             }
         }
-        if let Some(backend) = o.frequency_backend {
-            self.frequency_backend = backend;
-        }
     }
 
     /// The Banshee configuration this run will use.
@@ -429,34 +416,6 @@ mod tests {
         let mut other_seed = base.clone();
         other_seed.seed += 1;
         assert_ne!(base.warmup_key_material(), other_seed.warmup_key_material());
-    }
-
-    #[test]
-    fn frequency_backend_is_key_material_only_off_the_default() {
-        let base = SimConfig::test_default(DramCacheDesign::Banshee);
-        // The exact default must not surface in the Debug-derived key at all:
-        // every result persisted before the knob existed stays addressable.
-        assert!(!base.cache_key_material().contains("frequency_backend"));
-        assert!(base
-            .cache_key_material()
-            .ends_with(&format!("seed: {} }}", base.seed)));
-
-        let mut sketch = base.clone();
-        sketch.frequency_backend = FrequencyBackendKind::Cms {
-            width: 4096,
-            depth: 4,
-        };
-        assert!(sketch.cache_key_material().contains("frequency_backend"));
-        assert_ne!(base.cache_key_material(), sketch.cache_key_material());
-        assert_ne!(base.warmup_key_material(), sketch.warmup_key_material());
-
-        // Different sketch geometries are different cells too.
-        let mut narrow = sketch.clone();
-        narrow.frequency_backend = FrequencyBackendKind::Cms {
-            width: 1024,
-            depth: 4,
-        };
-        assert_ne!(sketch.cache_key_material(), narrow.cache_key_material());
     }
 
     #[test]

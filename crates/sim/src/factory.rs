@@ -10,30 +10,26 @@ use banshee_dcache::{
 /// Build the controller the configuration asks for, including the optional
 /// BATMAN bandwidth-balancing wrapper.
 pub fn build_controller(config: &SimConfig) -> Box<dyn DramCacheController> {
-    let backend = config.frequency_backend;
     let inner: Box<dyn DramCacheController> = match config.design {
         DramCacheDesign::NoCache => Box::new(NoCache::new()),
         DramCacheDesign::CacheOnly => Box::new(CacheOnly::new()),
         DramCacheDesign::Alloy { fill_probability } => {
             Box::new(AlloyCache::new(&config.dcache, fill_probability))
         }
-        DramCacheDesign::Unison => Box::new(UnisonCache::with_backend(&config.dcache, backend)),
-        DramCacheDesign::Tdc => Box::new(Tdc::with_backend(&config.dcache, backend)),
-        DramCacheDesign::Hma => Box::new(Hma::with_backend(&config.dcache, backend)),
-        DramCacheDesign::Banshee => Box::new(BansheeController::with_variant_backend(
+        DramCacheDesign::Unison => Box::new(UnisonCache::new(&config.dcache)),
+        DramCacheDesign::Tdc => Box::new(Tdc::new(&config.dcache)),
+        DramCacheDesign::Hma => Box::new(Hma::new(&config.dcache)),
+        DramCacheDesign::Banshee => Box::new(BansheeController::with_variant(
             config.banshee_config(),
             BansheeVariant::Standard,
-            backend,
         )),
-        DramCacheDesign::BansheeLru => Box::new(BansheeController::with_variant_backend(
+        DramCacheDesign::BansheeLru => Box::new(BansheeController::with_variant(
             config.banshee_config(),
             BansheeVariant::Lru,
-            backend,
         )),
-        DramCacheDesign::BansheeFbrNoSample => Box::new(BansheeController::with_variant_backend(
+        DramCacheDesign::BansheeFbrNoSample => Box::new(BansheeController::with_variant(
             config.banshee_config(),
             BansheeVariant::FbrNoSample,
-            backend,
         )),
     };
     if config.use_batman {
@@ -67,19 +63,6 @@ mod tests {
         ];
         for d in designs {
             let cfg = SimConfig::test_default(d);
-            let c = build_controller(&cfg);
-            assert!(!c.name().is_empty());
-        }
-    }
-
-    #[test]
-    fn every_design_constructs_with_a_sketch_backend() {
-        for d in DramCacheDesign::figure4_lineup() {
-            let mut cfg = SimConfig::test_default(d);
-            cfg.frequency_backend = banshee_common::FrequencyBackendKind::Cms {
-                width: 1024,
-                depth: 4,
-            };
             let c = build_controller(&cfg);
             assert!(!c.name().is_empty());
         }
