@@ -21,9 +21,7 @@
 use banshee_bench::experiments::{self, run_main_matrix, scale_from_flags, EXPERIMENT_NAMES};
 use banshee_bench::runner::{CellRecord, Runner};
 use banshee_bench::table::{output_dir, write_json, Table};
-use banshee_common::telemetry::{
-    CellProfile, ProfileBreakdown, ProfileComponent, ProfileEntry, TelemetryConfig,
-};
+use banshee_common::telemetry::TelemetryConfig;
 use banshee_exec::JobPool;
 use serde::Serialize;
 use std::path::PathBuf;
@@ -85,44 +83,6 @@ struct RunSummary {
     sim_only_seconds: f64,
     experiments: Vec<ExperimentTiming>,
     cells: Vec<CellTiming>,
-    self_profile: Option<ProfileBreakdown>,
-}
-
-/// Sum the per-cell self-profiles into one run-wide breakdown (None when
-/// no cell deposited a profile, i.e. telemetry was off).
-fn aggregate_profile(cells: &[CellProfile]) -> Option<ProfileBreakdown> {
-    if cells.is_empty() {
-        return None;
-    }
-    let mut seconds = vec![0.0f64; ProfileComponent::ALL.len()];
-    let mut calls = vec![0u64; ProfileComponent::ALL.len()];
-    for cell in cells {
-        for entry in &cell.profile.entries {
-            if let Some(i) = ProfileComponent::ALL
-                .iter()
-                .position(|c| c.label() == entry.component)
-            {
-                seconds[i] += entry.seconds;
-                calls[i] += entry.calls;
-            }
-        }
-    }
-    let total: f64 = seconds.iter().sum();
-    let entries = ProfileComponent::ALL
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| calls[i] > 0)
-        .map(|(i, c)| ProfileEntry {
-            component: c.label().to_string(),
-            seconds: seconds[i],
-            share: if total > 0.0 { seconds[i] / total } else { 0.0 },
-            calls: calls[i],
-        })
-        .collect();
-    Some(ProfileBreakdown {
-        entries,
-        total_seconds: total,
-    })
 }
 
 fn print_all(tables: Vec<Table>) {
@@ -165,11 +125,11 @@ fn print_usage() {
     println!("              results and runs differing only in measured length");
     println!("              resume from it; BANSHEE_NO_SNAPSHOT=1 does the same)");
     println!("  --telemetry DIR  record time-resolved telemetry for every");
-    println!("              simulated cell: epoch-sampled time series (JSON + CSV),");
-    println!("              a Chrome-traceable event trace, and a self-profile in");
-    println!("              run_summary.json. Files land under DIR. Store hits are");
-    println!("              re-simulated so each cell emits its series; results are");
-    println!("              byte-identical with telemetry on or off.");
+    println!("              simulated cell: epoch-sampled time series (JSON + CSV)");
+    println!("              and a Chrome-traceable event trace. Files land under");
+    println!("              DIR. Store hits are re-simulated so each cell emits its");
+    println!("              series; results are byte-identical with telemetry on or");
+    println!("              off.");
     println!("              (BANSHEE_TELEMETRY=DIR does the same)");
     println!("  --telemetry-interval N  sample every N instructions (default");
     println!("              100000; BANSHEE_TELEMETRY_INTERVAL=N does the same)");
@@ -552,7 +512,6 @@ fn main() {
             .iter()
             .map(CellTiming::from)
             .collect(),
-        self_profile: aggregate_profile(&runner.counters.cell_profiles()),
     };
     if let Err(err) = write_json("run_summary", &summary) {
         eprintln!("warning: failed to write run_summary.json ({err})");

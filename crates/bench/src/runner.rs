@@ -8,9 +8,7 @@
 //! cell-for-cell to sequential runs (the pool preserves input order), and
 //! interrupted sweeps resume by skipping cells the store already holds.
 
-use banshee_common::telemetry::{
-    slug, CellProfile, ProfileCollector, TelemetryConfig, TelemetrySink,
-};
+use banshee_common::telemetry::{slug, TelemetryConfig, TelemetrySink};
 use banshee_common::MemSize;
 use banshee_dcache::DramCacheDesign;
 use banshee_exec::{JobPool, ResultStore};
@@ -194,7 +192,6 @@ pub struct RunnerCounters {
     simulated_micros: Arc<AtomicU64>,
     sim_only_micros: Arc<AtomicU64>,
     cells: Arc<Mutex<Vec<CellRecord>>>,
-    profiles: ProfileCollector,
 }
 
 impl RunnerCounters {
@@ -237,18 +234,6 @@ impl RunnerCounters {
     /// Panicked cells are not recorded.
     pub fn cell_records(&self) -> Vec<CellRecord> {
         self.cells.lock().map(|c| c.clone()).unwrap_or_default()
-    }
-
-    /// The shared collector simulated cells deposit their telemetry
-    /// self-profiles into (populated only when telemetry is enabled).
-    pub fn profile_collector(&self) -> ProfileCollector {
-        self.profiles.clone()
-    }
-
-    /// Self-profiles collected so far (one per simulated cell, telemetry
-    /// runs only).
-    pub fn cell_profiles(&self) -> Vec<CellProfile> {
-        self.profiles.lock().map(|p| p.clone()).unwrap_or_default()
     }
 
     fn record(&self, report: &CellReport) {
@@ -312,7 +297,7 @@ pub struct Runner {
     /// Print per-cell progress and wall-clock times to stderr.
     pub progress: bool,
     /// Time-resolved telemetry: when set, every simulated cell records
-    /// epoch samples, an event trace and a self-profile, exported under
+    /// epoch samples and an event trace, exported under
     /// [`TelemetryOptions::dir`]. Store hits are bypassed (re-simulated) so
     /// each cell actually emits telemetry; results are byte-identical
     /// either way.
@@ -482,7 +467,6 @@ impl Runner {
         let label = Self::telemetry_cell_label(slot, cell);
         system.enable_telemetry(tel.config);
         system.set_telemetry_sink(TelemetrySink::new(&tel.dir, &label));
-        system.set_profile_output(label, self.counters.profiles.clone());
         if let Some(executed) = resumed {
             system.note_snapshot_resume(executed);
         }

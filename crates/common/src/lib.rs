@@ -20,8 +20,8 @@
 //!   configuration structs shared between the DRAM model and the system
 //!   simulator.
 //! * [`telemetry`] — the time-resolved observability layer: an epoch-sampled
-//!   time series, a bounded ring of rare structured events, and wall-clock
-//!   self-profiling, all behind a zero-cost-when-off [`telemetry::Recorder`].
+//!   time series and a bounded ring of rare structured events, both kept by
+//!   a [`telemetry::Recorder`] that reads no host time.
 //!
 //! Everything here is `no_std`-shaped in spirit (no I/O, no globals) but the
 //! crate itself uses `std` for convenience.

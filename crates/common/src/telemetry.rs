@@ -1,11 +1,11 @@
-//! Time-resolved telemetry: epoch-sampled time series, a bounded ring of
-//! rare structured events, and wall-clock self-profiling of the simulator.
+//! Time-resolved telemetry: epoch-sampled time series and a bounded ring of
+//! rare structured events.
 //!
 //! Everything the harness reported before this module existed was an
 //! end-of-run aggregate; the paper's story, however, is about *dynamics* —
 //! lazy remaps, counter halvings, write-queue drains and warmup convergence
 //! all happen over time. The [`Recorder`] threads through the system
-//! simulator and captures three kinds of data:
+//! simulator and captures two kinds of data:
 //!
 //! 1. **Time series** ([`Sample`] / [`TimeSeries`]) — every
 //!    `interval_instructions` retired instructions the simulator snapshots
@@ -21,15 +21,16 @@
 //!    TLB shootdowns, snapshot resume) in a bounded ring that overwrites
 //!    the oldest entries, exportable as Chrome `trace.json` for timeline
 //!    viewing (chrome://tracing, Perfetto).
-//! 3. **Self-profile** ([`Profiler`]) — scoped wall-clock attribution of
-//!    simulation time to components (address translation, SRAM hierarchy,
-//!    design controller, DRAM timing, ...), surfaced per cell in
-//!    `run_summary.json`.
 //!
-//! The recorder is **zero-cost when off**: [`Recorder::Off`] is a fieldless
-//! variant, every hot-path call site guards on the single-discriminant test
-//! [`Recorder::is_off`], and `SimResult`s are byte-identical with telemetry
-//! on or off (asserted by `crates/sim/tests/telemetry_equivalence.rs`).
+//! Both are functions of simulated state only: the recorder reads no host
+//! time, so a [`TelemetryReport`] is a pure function of the cell's inputs.
+//! Where the simulator's wall-clock goes is measured from outside the
+//! program, by `perfbench --trace 1`.
+//!
+//! The simulator holds an `Option<Box<Recorder>>`: off is `None`, every
+//! hot-path call site guards on one `is_some()` test, and `SimResult`s are
+//! byte-identical with telemetry on or off (asserted by
+//! `crates/sim/tests/telemetry_equivalence.rs`).
 //!
 //! Sink I/O failures are *typed* ([`TelemetryError`]) and callers degrade
 //! them to warnings — telemetry must never fail a run that would otherwise
@@ -40,8 +41,6 @@ use crate::Cycle;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// Core clock in GHz, used only to convert cycle timestamps into the
 /// microseconds Chrome trace viewers expect. Matches
@@ -373,212 +372,15 @@ pub const EVENT_GAUGES: [(&str, EventKind); 2] = [
 ];
 
 // ---------------------------------------------------------------------------
-// Self-profiling
-
-/// Simulator components wall-clock time is attributed to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ProfileComponent {
-    /// Virtual-to-physical translation (TLB + page table).
-    Translate,
-    /// The SRAM cache hierarchy (L1/L2/LLC).
-    SramHierarchy,
-    /// The DRAM-cache design controller (plan construction).
-    DesignController,
-    /// DRAM device timing (plan execution).
-    DramExecute,
-    /// Controller epoch maintenance (remap planning and execution).
-    EpochMaintenance,
-    /// OS side effects (page moves, shootdowns, flushes).
-    SideEffects,
-    /// Telemetry sampling itself.
-    TelemetrySampling,
-}
-
-impl ProfileComponent {
-    /// All components, in display order.
-    pub const ALL: [ProfileComponent; 7] = [
-        ProfileComponent::Translate,
-        ProfileComponent::SramHierarchy,
-        ProfileComponent::DesignController,
-        ProfileComponent::DramExecute,
-        ProfileComponent::EpochMaintenance,
-        ProfileComponent::SideEffects,
-        ProfileComponent::TelemetrySampling,
-    ];
-
-    /// Stable label used in profile reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            ProfileComponent::Translate => "translate",
-            ProfileComponent::SramHierarchy => "sram_hierarchy",
-            ProfileComponent::DesignController => "design_controller",
-            ProfileComponent::DramExecute => "dram_execute",
-            ProfileComponent::EpochMaintenance => "epoch_maintenance",
-            ProfileComponent::SideEffects => "side_effects",
-            ProfileComponent::TelemetrySampling => "telemetry_sampling",
-        }
-    }
-
-    /// Index into dense per-component arrays.
-    #[inline]
-    pub fn index(self) -> usize {
-        self as usize
-    }
-}
-
-/// Accumulates wall-clock time per [`ProfileComponent`].
-#[derive(Debug, Clone, Default)]
-pub struct Profiler {
-    nanos: [u64; ProfileComponent::ALL.len()],
-    calls: [u64; ProfileComponent::ALL.len()],
-}
-
-impl Profiler {
-    /// A zeroed profiler.
-    pub fn new() -> Self {
-        Profiler::default()
-    }
-
-    /// Charge `elapsed` to `component`.
-    #[inline]
-    pub fn record(&mut self, component: ProfileComponent, elapsed: Duration) {
-        let i = component.index();
-        self.nanos[i] += elapsed.as_nanos() as u64;
-        self.calls[i] += 1;
-    }
-
-    /// Total time attributed so far.
-    pub fn total(&self) -> Duration {
-        Duration::from_nanos(self.nanos.iter().sum())
-    }
-
-    /// Summarise into a serializable breakdown, components in display order.
-    pub fn breakdown(&self) -> ProfileBreakdown {
-        let total_nanos: u64 = self.nanos.iter().sum();
-        let entries = ProfileComponent::ALL
-            .iter()
-            .map(|&c| {
-                let i = c.index();
-                ProfileEntry {
-                    component: c.label().to_string(),
-                    seconds: self.nanos[i] as f64 / 1e9,
-                    share: if total_nanos == 0 {
-                        0.0
-                    } else {
-                        self.nanos[i] as f64 / total_nanos as f64
-                    },
-                    calls: self.calls[i],
-                }
-            })
-            .collect();
-        ProfileBreakdown {
-            entries,
-            total_seconds: total_nanos as f64 / 1e9,
-        }
-    }
-}
-
-/// One component's share of attributed simulation time.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ProfileEntry {
-    /// Component label (see [`ProfileComponent::label`]).
-    pub component: String,
-    /// Attributed wall-clock seconds.
-    pub seconds: f64,
-    /// Fraction of total attributed time (0 when nothing was attributed).
-    pub share: f64,
-    /// Number of timed scopes.
-    pub calls: u64,
-}
-
-/// The full self-profile of one simulated cell.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ProfileBreakdown {
-    /// Per-component rows, in [`ProfileComponent::ALL`] order.
-    pub entries: Vec<ProfileEntry>,
-    /// Total attributed wall-clock seconds.
-    pub total_seconds: f64,
-}
-
-/// A cell's label paired with its profile, collected across worker threads
-/// into `run_summary.json`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CellProfile {
-    /// The cell label (`workload x design` with sweep coordinates).
-    pub cell: String,
-    /// Where its simulation time went.
-    pub profile: ProfileBreakdown,
-}
-
-/// Thread-safe accumulator for per-cell profiles; the runner hands a clone
-/// to every worker and drains it into the run summary.
-pub type ProfileCollector = Arc<Mutex<Vec<CellProfile>>>;
-
-/// A fresh, empty [`ProfileCollector`].
-pub fn profile_collector() -> ProfileCollector {
-    Arc::new(Mutex::new(Vec::new()))
-}
-
-// ---------------------------------------------------------------------------
 // The recorder
 
-/// The telemetry recorder threaded through the system simulator.
-///
-/// [`Recorder::Off`] is the default and costs one discriminant test per
-/// guard ([`Recorder::is_off`]); everything else lives behind a box so the
-/// off state adds no per-`System` memory beyond the enum word.
-#[derive(Debug, Default)]
-pub enum Recorder {
-    /// Telemetry disabled: every hook is a no-op.
-    #[default]
-    Off,
-    /// Telemetry enabled.
-    On(Box<ActiveRecorder>),
-}
-
-impl Recorder {
-    /// A recorder in the off state.
-    pub fn off() -> Self {
-        Recorder::Off
-    }
-
-    /// An enabled recorder with the given knobs.
-    pub fn enabled(config: TelemetryConfig) -> Self {
-        Recorder::On(Box::new(ActiveRecorder::new(config)))
-    }
-
-    /// True when telemetry is disabled — the hot-path guard.
-    #[inline]
-    pub fn is_off(&self) -> bool {
-        matches!(self, Recorder::Off)
-    }
-
-    /// The active recorder, if enabled.
-    #[inline]
-    pub fn active_mut(&mut self) -> Option<&mut ActiveRecorder> {
-        match self {
-            Recorder::Off => None,
-            Recorder::On(rec) => Some(rec),
-        }
-    }
-
-    /// The active recorder, if enabled (shared).
-    #[inline]
-    pub fn active(&self) -> Option<&ActiveRecorder> {
-        match self {
-            Recorder::Off => None,
-            Recorder::On(rec) => Some(rec),
-        }
-    }
-}
-
-/// State behind an enabled [`Recorder`].
+/// The telemetry recorder threaded through the system simulator. The
+/// simulator boxes it behind an `Option` so the off state costs one word.
 #[derive(Debug)]
-pub struct ActiveRecorder {
+pub struct Recorder {
     config: TelemetryConfig,
     series: TimeSeries,
     events: EventRing,
-    profile: Profiler,
     /// Instruction count at which the next sample is due.
     next_sample_at: u64,
     /// The previous sample boundary's cumulative counters (None before the
@@ -589,13 +391,12 @@ pub struct ActiveRecorder {
     prev_event_gauges: [f64; EVENT_GAUGES.len()],
 }
 
-impl ActiveRecorder {
+impl Recorder {
     /// A fresh recorder; the first sample is due after one interval.
     pub fn new(config: TelemetryConfig) -> Self {
-        ActiveRecorder {
+        Recorder {
             series: TimeSeries::new(config.max_samples),
             events: EventRing::new(config.max_events),
-            profile: Profiler::new(),
             next_sample_at: config.interval_instructions.max(1),
             prev: None,
             prev_event_gauges: [0.0; EVENT_GAUGES.len()],
@@ -717,12 +518,6 @@ impl ActiveRecorder {
         });
     }
 
-    /// The profiler, for scoped timing.
-    #[inline]
-    pub fn profiler_mut(&mut self) -> &mut Profiler {
-        &mut self.profile
-    }
-
     /// The recorded series so far.
     pub fn series(&self) -> &TimeSeries {
         &self.series
@@ -757,7 +552,6 @@ impl ActiveRecorder {
             events_dropped: self.events.dropped(),
             samples: self.series.samples,
             events: self.events.iter().cloned().collect(),
-            profile: self.profile.breakdown(),
         }
     }
 }
@@ -819,8 +613,8 @@ impl fmt::Display for TelemetryError {
 
 impl std::error::Error for TelemetryError {}
 
-/// The exportable JSON payload of one cell's telemetry: time series, events,
-/// profile, plus the final aggregates the samples must reconcile against
+/// The exportable JSON payload of one cell's telemetry: time series and
+/// events, plus the final aggregates the samples must reconcile against
 /// (so a report file is self-validating).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TelemetryReport {
@@ -849,8 +643,6 @@ pub struct TelemetryReport {
     pub samples: Vec<Sample>,
     /// The retained events, oldest first.
     pub events: Vec<Event>,
-    /// Wall-clock attribution of this cell's simulation time.
-    pub profile: ProfileBreakdown,
 }
 
 /// Sanitise a label into a filename-safe slug: ASCII alphanumerics are
@@ -988,11 +780,7 @@ pub fn csv_text(report: &TelemetryReport) -> String {
                 row.push(s.traffic.bytes(kind, class).to_string());
             }
         }
-        for (kind, d) in [
-            (DramKind::InPackage, &s.in_dram),
-            (DramKind::OffPackage, &s.off_dram),
-        ] {
-            let _ = kind;
+        for d in [&s.in_dram, &s.off_dram] {
             row.push(d.read_queue.to_string());
             row.push(d.write_queue.to_string());
             row.push(format!("{:.6}", d.row_hit_rate));
@@ -1112,7 +900,7 @@ mod tests {
 
     #[test]
     fn recorder_sampling_boundaries() {
-        let mut rec = ActiveRecorder::new(TelemetryConfig {
+        let mut rec = Recorder::new(TelemetryConfig {
             interval_instructions: 100,
             ..TelemetryConfig::default()
         });
@@ -1125,7 +913,7 @@ mod tests {
 
     #[test]
     fn samples_delta_against_previous() {
-        let mut rec = ActiveRecorder::new(TelemetryConfig::default());
+        let mut rec = Recorder::new(TelemetryConfig::default());
         let mut first = cum(100, 400);
         first
             .traffic
@@ -1157,7 +945,7 @@ mod tests {
 
     #[test]
     fn polled_gauge_events_skip_first_window() {
-        let mut rec = ActiveRecorder::new(TelemetryConfig::default());
+        let mut rec = Recorder::new(TelemetryConfig::default());
         // First window: cumulative flushes already at 7 (e.g. resumed from
         // a warmed snapshot) — must not produce an event burst.
         rec.record_sample(true, cum(100, 100), &[("tag_buffer_flushes", 7.0)]);
@@ -1177,7 +965,7 @@ mod tests {
 
     #[test]
     fn polled_dram_events_fire_on_deltas() {
-        let mut rec = ActiveRecorder::new(TelemetryConfig::default());
+        let mut rec = Recorder::new(TelemetryConfig::default());
         let mut a = cum(100, 100);
         a.in_dram.refreshes = 2;
         rec.record_sample(true, a, &[]);
@@ -1190,27 +978,6 @@ mod tests {
         assert!(kinds.contains(&(EventKind::Refresh, 2)));
         assert!(kinds.contains(&(EventKind::Refresh, 3)));
         assert!(kinds.contains(&(EventKind::WriteDrain, 1)));
-    }
-
-    #[test]
-    fn profiler_breakdown_shares() {
-        let mut p = Profiler::new();
-        p.record(ProfileComponent::Translate, Duration::from_nanos(300));
-        p.record(ProfileComponent::DramExecute, Duration::from_nanos(700));
-        let b = p.breakdown();
-        assert_eq!(b.entries.len(), ProfileComponent::ALL.len());
-        let total_share: f64 = b.entries.iter().map(|e| e.share).sum();
-        assert!((total_share - 1.0).abs() < 1e-12);
-        let translate = b
-            .entries
-            .iter()
-            .find(|e| e.component == "translate")
-            .unwrap();
-        assert!((translate.share - 0.3).abs() < 1e-12);
-        assert_eq!(translate.calls, 1);
-        // An empty profiler yields zero shares, not NaN.
-        let empty = Profiler::new().breakdown();
-        assert!(empty.entries.iter().all(|e| e.share == 0.0));
     }
 
     #[test]
@@ -1234,7 +1001,7 @@ mod tests {
     }
 
     fn tiny_report() -> TelemetryReport {
-        let mut rec = ActiveRecorder::new(TelemetryConfig {
+        let mut rec = Recorder::new(TelemetryConfig {
             interval_instructions: 100,
             ..TelemetryConfig::default()
         });
@@ -1248,8 +1015,6 @@ mod tests {
         b.in_dram.refreshes = 1;
         rec.record_sample(false, b, &[("resident_pages", 5.0)]);
         rec.record_event(150, 400, EventKind::MeasurementStart, 1);
-        rec.profiler_mut()
-            .record(ProfileComponent::DramExecute, Duration::from_micros(5));
         let traffic = TrafficStats::new();
         rec.into_report("Banshee", "mcf", 100, 100, 540, &traffic)
     }
@@ -1320,20 +1085,10 @@ mod tests {
     }
 
     #[test]
-    fn recorder_off_is_the_default_and_cheap() {
-        let rec = Recorder::default();
-        assert!(rec.is_off());
-        assert!(rec.active().is_none());
-        let mut on = Recorder::enabled(TelemetryConfig::default());
-        assert!(!on.is_off());
-        assert!(on.active_mut().is_some());
-    }
-
-    #[test]
     fn measured_samples_telescope_to_final_traffic() {
         // The reconciliation invariant the sim-level tests rely on, in
         // miniature: sum of measured-window deltas == final - boundary.
-        let mut rec = ActiveRecorder::new(TelemetryConfig {
+        let mut rec = Recorder::new(TelemetryConfig {
             interval_instructions: 50,
             ..TelemetryConfig::default()
         });

@@ -3,20 +3,21 @@
 //! A `SimResult` must be a pure function of `SimConfig` + workload + seed;
 //! one `Instant::now()` read into a decision makes runs non-reproducible
 //! and poisons the result store. Wall-clock reads are confined to the
-//! allowlisted measurement layers (telemetry, the execution engine, the
+//! allowlisted measurement layers (the job engine's per-job timing and the
 //! bench/runner crate); anywhere else needs a
 //! `// tidy: allow(wall-clock): <justification>` marker — used exactly once
-//! today, for the self-profiling clock helper in `crates/sim/src/system.rs`.
+//! today, for perfbench's `clock()` in `perfbench/src/main.rs`. The
+//! simulator crates and telemetry read no host time at all.
 
 use super::{allow_marker, emit, word_occurrences, Marker, Tree};
 use crate::diag::{CheckId, Diagnostic};
 use crate::walk::is_test_path;
 
-/// Files and subtrees where wall-clock reads are expected: the telemetry
-/// module (self-profiling durations), the job engine (per-job timing), and
-/// the whole bench crate (runners, benches, the experiments binary).
+/// Files and subtrees where wall-clock reads are expected: the job engine
+/// (per-job timing) and the whole bench crate (runners, benches, the
+/// experiments binary).
 const ALLOWLIST_PREFIXES: &[&str] = &["crates/bench/"];
-const ALLOWLIST_FILES: &[&str] = &["crates/common/src/telemetry.rs", "crates/exec/src/pool.rs"];
+const ALLOWLIST_FILES: &[&str] = &["crates/exec/src/pool.rs"];
 
 fn allowlisted(rel_path: &str) -> bool {
     ALLOWLIST_FILES.contains(&rel_path)
@@ -71,7 +72,7 @@ pub fn check(tree: &Tree, diags: &mut Vec<Diagnostic>) {
                     &file.rel_path,
                     line,
                     format!(
-                        "`{what}` outside the telemetry/runner/bench allowlist: host \
+                        "`{what}` outside the exec-pool/runner/bench allowlist: host \
                          time must never influence a SimResult. Move the read into an \
                          allowlisted measurement layer, or justify with \
                          `// tidy: allow(wall-clock): <why>`"

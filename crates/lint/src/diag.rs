@@ -7,7 +7,7 @@ use std::fmt;
 pub enum CheckId {
     /// `std::collections::{HashMap,HashSet}` in sim-critical crates.
     StdHash,
-    /// `Instant::now` / `SystemTime` outside the telemetry/runner/bench
+    /// `Instant::now` / `SystemTime` outside the exec-pool/runner/bench
     /// allowlist.
     WallClock,
     /// Every `SimConfig` field keys the result store or is a marked
@@ -49,7 +49,7 @@ impl CheckId {
                  (use FnvHashMap/FnvHashSet, or `// tidy: allow(std-hash): <why>`)"
             }
             CheckId::WallClock => {
-                "no Instant::now/SystemTime outside telemetry/runner/bench \
+                "no Instant::now/SystemTime outside exec-pool/runner/bench \
                  (or `// tidy: allow(wall-clock): <why>`)"
             }
             CheckId::KeyMaterial => {

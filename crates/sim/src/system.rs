@@ -6,8 +6,7 @@ use crate::factory::build_controller;
 use crate::result::SimResult;
 use banshee_common::persist::Persist;
 use banshee_common::telemetry::{
-    CellProfile, EventKind, ProfileCollector, ProfileComponent, Recorder, SampleCumulative,
-    TelemetryConfig, TelemetrySink,
+    EventKind, Recorder, SampleCumulative, TelemetryConfig, TelemetrySink,
 };
 use banshee_common::{
     fnv1a64, Addr, Cycle, LineAddr, PageNum, SnapshotError, SnapshotHeader, SnapshotReader,
@@ -17,24 +16,12 @@ use banshee_dcache::{DramCacheController, MemRequest, PlanSink, SideEffect};
 use banshee_dram::DualDram;
 use banshee_memhier::{CacheHierarchy, HitLevel, PageSize, PageTable, TlbEntry};
 use banshee_workloads::TraceFactory;
-use std::time::{Duration, Instant};
 
 /// Small fixed latencies of the on-chip path (partially hidden by the
 /// out-of-order core, hence smaller than the raw lookup latencies).
 const L2_HIT_PENALTY: Cycle = 2;
 const LLC_HIT_PENALTY: Cycle = 8;
 const MISS_ISSUE_PENALTY: Cycle = 2;
-
-/// The self-profiling clock: the one place this file reads host time.
-/// Every call site feeds the resulting `Duration` into the telemetry
-/// recorder only — simulated state (core clocks, cache contents, DRAM
-/// timing, the RNG) never observes it, so results stay a pure function of
-/// `SimConfig` + workload + seed.
-#[inline]
-fn profiling_clock() -> Instant {
-    // tidy: allow(wall-clock): self-profiling chokepoint — durations feed the telemetry recorder, never simulated state
-    Instant::now()
-}
 
 /// The simulated machine: cores + SRAM hierarchy + page table + memory
 /// controllers (one [`DramCacheController`]) + the two DRAM devices.
@@ -58,16 +45,13 @@ pub struct System {
     sink: PlanSink,
     /// Reusable buffer for page-flush side effects.
     flush_scratch: Vec<LineAddr>,
-    /// Time-resolved telemetry. [`Recorder::Off`] by default and *never*
-    /// persisted in warmed images or reflected in key material — telemetry
-    /// observes the simulation without influencing it, and results are
-    /// byte-identical with the recorder on or off.
-    recorder: Recorder,
+    /// Time-resolved telemetry. `None` by default and *never* persisted in
+    /// warmed images or reflected in key material — telemetry observes the
+    /// simulation without influencing it, and results are byte-identical
+    /// with the recorder on or off.
+    recorder: Option<Box<Recorder>>,
     /// Where to write telemetry files at collection time (None: discard).
     telemetry_sink: Option<TelemetrySink>,
-    /// Where to deposit the self-profile at collection time, with the cell
-    /// label it should carry.
-    profile_out: Option<(String, ProfileCollector)>,
 }
 
 impl System {
@@ -104,9 +88,8 @@ impl System {
             planned: banshee_common::TrafficStats::new(),
             sink: PlanSink::new(),
             flush_scratch: Vec::new(),
-            recorder: Recorder::Off,
+            recorder: None,
             telemetry_sink: None,
-            profile_out: None,
             config,
         }
     }
@@ -115,7 +98,7 @@ impl System {
     /// (or right after [`System::resume_warmed`]); simulation results are
     /// unaffected either way.
     pub fn enable_telemetry(&mut self, config: TelemetryConfig) {
-        self.recorder = Recorder::enabled(config);
+        self.recorder = Some(Box::new(Recorder::new(config)));
     }
 
     /// Set where [`System::run_measured`] writes the telemetry files. Export
@@ -124,19 +107,11 @@ impl System {
         self.telemetry_sink = Some(sink);
     }
 
-    /// Deposit the end-of-run self-profile into `collector` under `cell`.
-    pub fn set_profile_output(&mut self, cell: String, collector: ProfileCollector) {
-        self.profile_out = Some((cell, collector));
-    }
-
     /// Note (for the event trace) that this system was resumed from a
     /// warmed snapshot at `executed` instructions rather than re-warmed.
     pub fn note_snapshot_resume(&mut self, executed: u64) {
-        if self.recorder.is_off() {
-            return;
-        }
-        let cycles = self.cores.iter().map(|c| c.clock).max().unwrap_or(0);
-        if let Some(rec) = self.recorder.active_mut() {
+        if let Some(rec) = &mut self.recorder {
+            let cycles = self.cores.iter().map(|c| c.clock).max().unwrap_or(0);
             rec.record_event(executed, cycles, EventKind::SnapshotResume, 1);
         }
     }
@@ -170,7 +145,7 @@ impl System {
         let mut executed: u64 = 0;
         while executed < warmup + budget {
             executed += self.step_laggard();
-            if !self.recorder.is_off() {
+            if self.recorder.is_some() {
                 self.telemetry_tick(executed, true);
             }
             if executed >= warmup {
@@ -194,12 +169,12 @@ impl System {
             return self.collect(workload_name, 0, MeasurementBaseline::default());
         };
         let baseline = self.counter_baseline();
-        if !self.recorder.is_off() {
+        if self.recorder.is_some() {
             // Flush the partial warm-up sampling window exactly at the
             // baseline, so measured-phase sample deltas telescope to the
             // final (baseline-subtracted) result.
             self.take_sample(executed, true);
-            if let Some(rec) = self.recorder.active_mut() {
+            if let Some(rec) = &mut self.recorder {
                 rec.record_event(executed, baseline.cycles, EventKind::MeasurementStart, 1);
             }
         }
@@ -214,7 +189,7 @@ impl System {
         }
         while executed < warmup + budget {
             executed += self.step_laggard();
-            if !self.recorder.is_off() {
+            if self.recorder.is_some() {
                 self.telemetry_tick(executed, false);
             }
             if executed >= self.next_epoch_at {
@@ -230,11 +205,11 @@ impl System {
     /// line so the hot loop pays a single branch when telemetry is off.
     #[cold]
     fn telemetry_tick(&mut self, executed: u64, warmup: bool) {
-        let due = match self.recorder.active() {
-            Some(rec) => rec.sample_due(executed),
-            None => return,
-        };
-        if due {
+        if self
+            .recorder
+            .as_ref()
+            .is_some_and(|rec| rec.sample_due(executed))
+        {
             self.take_sample(executed, warmup);
         }
     }
@@ -243,7 +218,6 @@ impl System {
     /// push one sample. The read is pure observation: nothing in the
     /// simulation state changes.
     fn take_sample(&mut self, executed: u64, warmup: bool) {
-        let t0 = profiling_clock();
         let cycles = self.cores.iter().map(|c| c.clock).max().unwrap_or(0);
         let (accesses, misses) = self.controller.demand_stats();
         let cum = SampleCumulative {
@@ -258,29 +232,16 @@ impl System {
         };
         let mut gauges = Vec::new();
         self.controller.telemetry_gauges(&mut gauges);
-        if let Some(rec) = self.recorder.active_mut() {
+        if let Some(rec) = &mut self.recorder {
             rec.record_sample(warmup, cum, &gauges);
-            rec.profiler_mut()
-                .record(ProfileComponent::TelemetrySampling, t0.elapsed());
-        }
-    }
-
-    /// Add `elapsed` to a self-profiling bucket (recorder on only).
-    #[inline]
-    fn profile(&mut self, component: ProfileComponent, elapsed: Duration) {
-        if let Some(rec) = self.recorder.active_mut() {
-            rec.profiler_mut().record(component, elapsed);
         }
     }
 
     /// Record a rare design event at the current total instruction count.
     /// Only called from cold paths (side effects, epochs).
     fn design_event(&mut self, kind: EventKind, now: Cycle, count: u64) {
-        if self.recorder.is_off() {
-            return;
-        }
-        let instructions = self.cores.iter().map(|c| c.instructions).sum();
-        if let Some(rec) = self.recorder.active_mut() {
+        if let Some(rec) = &mut self.recorder {
+            let instructions = self.cores.iter().map(|c| c.instructions).sum();
             rec.record_event(instructions, now, kind, count);
         }
     }
@@ -432,25 +393,16 @@ impl System {
     /// Execute one memory access (plus its leading instructions) on a core.
     /// Returns the number of instructions retired.
     fn step_core(&mut self, core_id: usize) -> u64 {
-        let prof = !self.recorder.is_off();
         let access = self.cores[core_id].trace.next_access();
         let retired = access.instructions();
         self.cores[core_id].retire_instructions(retired);
 
         // ---- Address translation ------------------------------------------------
-        let t0 = prof.then(profiling_clock);
         let translation = self.translate(core_id, access.vaddr);
         let paddr = translation.paddr;
-        if let Some(t0) = t0 {
-            self.profile(ProfileComponent::Translate, t0.elapsed());
-        }
 
         // ---- SRAM hierarchy ------------------------------------------------------
-        let t0 = prof.then(profiling_clock);
         let outcome = self.hierarchy.access(core_id, paddr.line(), access.write);
-        if let Some(t0) = t0 {
-            self.profile(ProfileComponent::SramHierarchy, t0.elapsed());
-        }
         match outcome.hit {
             Some(HitLevel::L1) => {}
             Some(HitLevel::L2) => self.cores[core_id].advance(L2_HIT_PENALTY),
@@ -467,11 +419,7 @@ impl System {
                 req = req.on_large_page();
             }
             self.sink.reset();
-            let t0 = prof.then(profiling_clock);
             self.controller.access(&req, now, &mut self.sink);
-            if let Some(t0) = t0 {
-                self.profile(ProfileComponent::DesignController, t0.elapsed());
-            }
             self.execute_plan(core_id, now);
         }
 
@@ -486,11 +434,7 @@ impl System {
             }
             let now = self.cores[core_id].clock;
             self.sink.reset();
-            let t0 = prof.then(profiling_clock);
             self.controller.access(&req, now, &mut self.sink);
-            if let Some(t0) = t0 {
-                self.profile(ProfileComponent::DesignController, t0.elapsed());
-            }
             let completion = self.execute_plan(core_id, now);
             self.cores[core_id].advance(MISS_ISSUE_PENALTY);
             self.cores[core_id].issue_miss(completion);
@@ -533,8 +477,6 @@ impl System {
     /// the rare side-effect list is detached, because applying it can
     /// re-enter the controller and reuse the sink for nested requests.
     fn execute_plan(&mut self, core_id: usize, now: Cycle) -> Cycle {
-        let prof = !self.recorder.is_off();
-        let t0 = prof.then(profiling_clock);
         let mut t = now + self.sink.extra_latency;
         let System {
             sink,
@@ -564,16 +506,9 @@ impl System {
             );
             dev.access(t, op.addr, op.bytes, op.class, op.write);
         }
-        if let Some(t0) = t0 {
-            self.profile(ProfileComponent::DramExecute, t0.elapsed());
-        }
         if !self.sink.side_effects.is_empty() {
             let effects = std::mem::take(&mut self.sink.side_effects);
-            let t0 = prof.then(profiling_clock);
             self.apply_side_effects(effects, core_id, t);
-            if let Some(t0) = t0 {
-                self.profile(ProfileComponent::SideEffects, t0.elapsed());
-            }
         }
         t
     }
@@ -581,7 +516,7 @@ impl System {
     /// Apply OS-level side effects requested by the controller.
     fn apply_side_effects(&mut self, effects: Vec<SideEffect>, core_id: usize, now: Cycle) {
         let cpu = banshee_common::CyclesPerSec::ghz(2.7);
-        if !self.recorder.is_off() {
+        if self.recorder.is_some() {
             // One batched event per application: an HMA epoch flushes
             // thousands of pages in a single effects vector, and per-page
             // events would flood the ring.
@@ -670,20 +605,15 @@ impl System {
     /// Run the periodic controller hook. `executed` is the total instruction
     /// count that triggered this epoch (event-trace timestamp only).
     fn run_epoch(&mut self, executed: u64) {
-        let prof = !self.recorder.is_off();
-        let t0 = prof.then(profiling_clock);
         let now = self.cores.iter().map(|c| c.clock).max().unwrap_or(0);
         self.sink.reset();
         if self.controller.epoch(now, &mut self.sink) {
-            if let Some(rec) = self.recorder.active_mut() {
+            if let Some(rec) = &mut self.recorder {
                 rec.record_event(executed, now, EventKind::EpochPlan, 1);
             }
             // Charge epoch work to a random core (the OS picks one).
             let core = self.rng.next_below(self.cores.len() as u64) as usize;
             self.execute_plan(core, now);
-        }
-        if let Some(t0) = t0 {
-            self.profile(ProfileComponent::EpochMaintenance, t0.elapsed());
         }
     }
 
@@ -694,7 +624,7 @@ impl System {
         executed_instructions: u64,
         baseline: MeasurementBaseline,
     ) -> SimResult {
-        if !self.recorder.is_off() && executed_instructions > 0 {
+        if self.recorder.is_some() && executed_instructions > 0 {
             // Flush the trailing partial window so measured samples cover
             // the full phase (the recorder skips this if the last sample
             // already landed exactly here).
@@ -786,7 +716,7 @@ impl System {
     /// outputs. I/O failures degrade to a stderr warning — telemetry never
     /// fails a run.
     fn finish_telemetry(&mut self, result: &SimResult, final_cycles: Cycle) {
-        let Recorder::On(rec) = std::mem::take(&mut self.recorder) else {
+        let Some(rec) = self.recorder.take() else {
             return;
         };
         let report = rec.into_report(
@@ -797,14 +727,6 @@ impl System {
             final_cycles,
             &result.traffic,
         );
-        if let Some((cell, collector)) = self.profile_out.take() {
-            if let Ok(mut cells) = collector.lock() {
-                cells.push(CellProfile {
-                    cell,
-                    profile: report.profile.clone(),
-                });
-            }
-        }
         if let Some(sink) = self.telemetry_sink.take() {
             if let Err(err) = sink.export(&report) {
                 eprintln!("[telemetry] warning: {err} (run results are unaffected)");

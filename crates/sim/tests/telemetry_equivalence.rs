@@ -2,16 +2,17 @@
 //! recorder on must produce a `SimResult` byte-identical to the same run
 //! with the recorder off, and the exported report must reconcile with the
 //! final aggregates (measured sample deltas telescope to the result's
-//! traffic and instruction counts).
+//! traffic and instruction counts). The exported files are themselves a
+//! pure function of the inputs: two runs write identical bytes.
 
 use banshee_common::telemetry::{
-    profile_collector, slug, EventKind, TelemetryConfig, TelemetryReport, TelemetrySink,
+    slug, EventKind, Sample, TelemetryConfig, TelemetryReport, TelemetrySink,
 };
 use banshee_common::TrafficClass;
 use banshee_dcache::DramCacheDesign;
 use banshee_sim::{run_one, SimConfig, SimResult, System};
 use banshee_workloads::{SpecProgram, Workload, WorkloadKind};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 fn workload() -> Workload {
     Workload::new(WorkloadKind::Spec(SpecProgram::Mcf), 16 << 20, 3)
@@ -24,8 +25,9 @@ fn test_config() -> TelemetryConfig {
     }
 }
 
-/// Run one design with telemetry enabled, exporting under `dir`.
-fn run_with_telemetry(design: DramCacheDesign, dir: &Path) -> (SimResult, PathBuf) {
+/// Run one design with telemetry enabled, exporting under `dir`. Returns
+/// the result and the sink, whose paths name the written files.
+fn run_with_telemetry(design: DramCacheDesign, dir: &Path) -> (SimResult, TelemetrySink) {
     let config = SimConfig::test_default(design);
     let w = workload();
     let name = w.name();
@@ -33,10 +35,13 @@ fn run_with_telemetry(design: DramCacheDesign, dir: &Path) -> (SimResult, PathBu
     let mut system = System::new(config, &w);
     system.enable_telemetry(test_config());
     let sink = TelemetrySink::new(dir, &cell);
-    let json_path = sink.json_path();
-    system.set_telemetry_sink(sink);
+    system.set_telemetry_sink(sink.clone());
     let warmed = system.warm_up();
-    (system.run_measured(&name, warmed), json_path)
+    (system.run_measured(&name, warmed), sink)
+}
+
+fn read_bytes(path: &Path) -> Vec<u8> {
+    std::fs::read(path).unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
 }
 
 fn read_report(path: &Path) -> TelemetryReport {
@@ -55,7 +60,7 @@ fn telemetry_on_results_are_byte_identical_for_every_design() {
     let _ = std::fs::remove_dir_all(&dir);
     for design in DramCacheDesign::figure4_lineup() {
         let off = run_one(SimConfig::test_default(design), &workload());
-        let (on, json_path) = run_with_telemetry(design, &dir);
+        let (on, sink) = run_with_telemetry(design, &dir);
         assert_eq!(
             serde_json::to_string_pretty(&off).unwrap(),
             serde_json::to_string_pretty(&on).unwrap(),
@@ -65,7 +70,7 @@ fn telemetry_on_results_are_byte_identical_for_every_design() {
 
         // The exported report must be present, parse back, and reconcile
         // with the final (baseline-subtracted) aggregates.
-        let report = read_report(&json_path);
+        let report = read_report(&sink.json_path());
         assert_eq!(report.design, on.design);
         assert!(!report.samples.is_empty(), "{}: no samples", on.design);
         assert!(
@@ -108,7 +113,19 @@ fn telemetry_on_results_are_byte_identical_for_every_design() {
             "{}: missing the MeasurementStart boundary event",
             on.design
         );
-        assert!(report.profile.total_seconds > 0.0);
+        // The CSV's gauge columns come from the first sample, so every
+        // sample must carry the same gauge names in the same order.
+        let names =
+            |s: &Sample| -> Vec<String> { s.gauges.iter().map(|(n, _)| n.clone()).collect() };
+        let first = names(&report.samples[0]);
+        for (i, s) in report.samples.iter().enumerate() {
+            assert_eq!(
+                names(s),
+                first,
+                "{}: sample {i} changes the gauge set",
+                on.design
+            );
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -159,25 +176,26 @@ fn unwritable_sink_degrades_to_a_warning() {
 }
 
 #[test]
-fn profile_collector_receives_one_profile_per_cell() {
-    let collector = profile_collector();
-    for design in [DramCacheDesign::NoCache, DramCacheDesign::Banshee] {
-        let config = SimConfig::test_default(design);
-        let w = workload();
-        let name = w.name();
-        let cell = slug(&config.design.label());
-        let mut system = System::new(config, &w);
-        system.enable_telemetry(test_config());
-        system.set_profile_output(cell, collector.clone());
-        let warmed = system.warm_up();
-        system.run_measured(&name, warmed);
+fn telemetry_files_are_byte_identical_across_runs() {
+    // The report holds no host time, so running a cell twice must write
+    // the same `.json`, `.csv` and `.trace.json` bytes.
+    let base = std::env::temp_dir().join(format!("banshee_tel_repeat_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    for design in DramCacheDesign::figure4_lineup() {
+        let (_, first) = run_with_telemetry(design, &base.join("a"));
+        let (_, second) = run_with_telemetry(design, &base.join("b"));
+        for (a, b) in [
+            (first.json_path(), second.json_path()),
+            (first.csv_path(), second.csv_path()),
+            (first.trace_path(), second.trace_path()),
+        ] {
+            assert!(
+                read_bytes(&a) == read_bytes(&b),
+                "{} and {} differ",
+                a.display(),
+                b.display()
+            );
+        }
     }
-    let profiles = collector.lock().unwrap();
-    assert_eq!(profiles.len(), 2);
-    assert_eq!(profiles[0].cell, "nocache");
-    assert_eq!(profiles[1].cell, "banshee");
-    for p in profiles.iter() {
-        assert!(p.profile.total_seconds > 0.0, "{}: empty profile", p.cell);
-        assert!(p.profile.entries.iter().any(|e| e.calls > 0));
-    }
+    let _ = std::fs::remove_dir_all(&base);
 }
