@@ -10,9 +10,9 @@
 //! Flags: `--quick` (smaller runs), `--smoke` (tiny sanity runs),
 //! `--jobs N` (worker threads; default: available parallelism),
 //! `--no-store` (disable the persistent result store), `--no-snapshot`
-//! (disable warmed-state snapshot capture/resume; also honoured as the
-//! `BANSHEE_NO_SNAPSHOT=1` environment variable), `--telemetry DIR`,
-//! `--telemetry-interval N`, `--help`.
+//! (disable warmed-state snapshot capture/resume), `--telemetry DIR`,
+//! `--telemetry-interval N`, `--help`. No environment variable stands in
+//! for a flag.
 //! Output: tables on stdout + JSON under `target/experiments/`, cell cache
 //! under `target/experiments/store/` (a re-run resumes from it), and a
 //! `run_summary.json` with per-experiment wall-clock times and scale
@@ -123,16 +123,15 @@ fn print_usage() {
     println!("  --no-snapshot  disable warmed-state snapshots (by default, each");
     println!("              cell's post-warm-up machine state is cached beside the");
     println!("              results and runs differing only in measured length");
-    println!("              resume from it; BANSHEE_NO_SNAPSHOT=1 does the same)");
+    println!("              resume from it)");
     println!("  --telemetry DIR  record time-resolved telemetry for every");
-    println!("              simulated cell: epoch-sampled time series (JSON + CSV)");
-    println!("              and a Chrome-traceable event trace. Files land under");
-    println!("              DIR. Store hits are re-simulated so each cell emits its");
+    println!("              simulated cell: an epoch-sampled time series and an");
+    println!("              event trace, written as DIR/telemetry_<cell>.json.");
+    println!("              Store hits are re-simulated so each cell emits its");
     println!("              series; results are byte-identical with telemetry on or");
     println!("              off.");
-    println!("              (BANSHEE_TELEMETRY=DIR does the same)");
     println!("  --telemetry-interval N  sample every N instructions (default");
-    println!("              100000; BANSHEE_TELEMETRY_INTERVAL=N does the same)");
+    println!("              100000)");
     println!("  --help      print this message and exit");
     println!();
     println!("Tables are printed to stdout; raw numbers are written as JSON");
@@ -140,7 +139,7 @@ fn print_usage() {
     println!("wall-clock, cache and per-cell timing metadata for the run.");
 }
 
-/// Parsed command line (plus the environment variables that alias flags).
+/// Parsed command line.
 #[derive(Debug, Clone, Default)]
 struct CliArgs {
     selected: Vec<String>,
@@ -154,21 +153,7 @@ struct CliArgs {
 }
 
 fn parse_args(args: &[String]) -> Result<CliArgs, String> {
-    let mut cli = CliArgs {
-        no_snapshot: std::env::var("BANSHEE_NO_SNAPSHOT").is_ok_and(|v| v == "1"),
-        telemetry_dir: std::env::var("BANSHEE_TELEMETRY")
-            .ok()
-            .filter(|v| !v.is_empty())
-            .map(PathBuf::from),
-        ..CliArgs::default()
-    };
-    if let Ok(value) = std::env::var("BANSHEE_TELEMETRY_INTERVAL") {
-        cli.telemetry_interval = Some(
-            value
-                .parse()
-                .map_err(|_| format!("invalid BANSHEE_TELEMETRY_INTERVAL value '{value}'"))?,
-        );
-    }
+    let mut cli = CliArgs::default();
     let mut i = 0;
     while i < args.len() {
         let arg = &args[i];

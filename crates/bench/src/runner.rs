@@ -266,11 +266,11 @@ impl RunnerCounters {
     }
 }
 
-/// Telemetry settings for a runner: where the per-cell files go and how the
-/// recorder samples.
+/// Telemetry settings for a runner: where the per-cell reports go and how
+/// the recorder samples.
 #[derive(Debug, Clone)]
 pub struct TelemetryOptions {
-    /// Output directory for `telemetry_<cell>.{json,csv,trace.json}` files.
+    /// Output directory for the per-cell `telemetry_<cell>.json` reports.
     pub dir: PathBuf,
     /// Recorder settings (sampling interval and buffer capacities).
     pub config: TelemetryConfig,
@@ -292,12 +292,12 @@ pub struct Runner {
     pub store_dir: Option<PathBuf>,
     /// Capture and resume warmed-state snapshots through the result store
     /// (no effect without a store). On by default; the `experiments` binary
-    /// turns it off for `--no-snapshot` / `BANSHEE_NO_SNAPSHOT=1`.
+    /// turns it off for `--no-snapshot`.
     pub snapshots: bool,
     /// Print per-cell progress and wall-clock times to stderr.
     pub progress: bool,
     /// Time-resolved telemetry: when set, every simulated cell records
-    /// epoch samples and an event trace, exported under
+    /// epoch samples and an event trace, exported as one JSON report under
     /// [`TelemetryOptions::dir`]. Store hits are bypassed (re-simulated) so
     /// each cell actually emits telemetry; results are byte-identical
     /// either way.
@@ -347,7 +347,7 @@ impl Runner {
     }
 
     /// Record time-resolved telemetry for every simulated cell, exporting
-    /// the files under `dir`.
+    /// one report per cell under `dir`.
     pub fn with_telemetry(mut self, dir: impl Into<PathBuf>, config: TelemetryConfig) -> Self {
         self.telemetry = Some(TelemetryOptions {
             dir: dir.into(),
@@ -441,7 +441,7 @@ impl Runner {
         }
     }
 
-    /// The file-name label for one cell's telemetry outputs: the cell's
+    /// The file-name label for one cell's telemetry report: the cell's
     /// batch slot plus slugged workload and design labels, e.g.
     /// `003_gcc_banshee`.
     fn telemetry_cell_label(slot: usize, cell: &PreparedCell) -> String {

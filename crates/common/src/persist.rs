@@ -41,7 +41,9 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"BSHSNAP\0";
 /// Format 3: HMA and the footprint predictor persist their exact maps again
 /// (sorted `(page, value)` pairs), without the tracker tag; HMA's candidate
 /// set and FBR's admission flag are gone.
-pub const SNAPSHOT_FORMAT: u32 = 3;
+/// Format 4: the Banshee controller no longer persists its unused RNG
+/// stream.
+pub const SNAPSHOT_FORMAT: u32 = 4;
 
 /// Everything that can go wrong decoding a snapshot. Mirrors the typed
 /// errors of `trace_file.rs`: every variant is actionable and none panics.

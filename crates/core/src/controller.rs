@@ -27,8 +27,7 @@ use crate::metadata::{MetadataEntry, MetadataTable, SET_METADATA_BYTES};
 use crate::tag_buffer::TagBuffer;
 use banshee_common::persist::{Persist, SnapshotError, SnapshotReader, SnapshotWriter};
 use banshee_common::{
-    Addr, Cycle, FnvHashMap, FnvHashSet, PageNum, StatSet, TrafficClass, XorShiftRng,
-    CACHE_LINE_SIZE,
+    Addr, Cycle, FnvHashMap, FnvHashSet, PageNum, StatSet, TrafficClass, CACHE_LINE_SIZE,
 };
 use banshee_dcache::{
     DCacheConfig, DemandStats, DramCacheController, DramOp, MemRequest, PlanSink, RequestKind,
@@ -84,7 +83,6 @@ pub struct BansheeController {
     /// Reverse of `resident` per (set, way) so victims can be located.
     occupancy: FnvHashMap<(u64, u8), u64>,
     demand: DemandStats,
-    rng: XorShiftRng,
     access_clock: u64,
     // Statistics.
     replacements: u64,
@@ -135,7 +133,6 @@ impl BansheeController {
             resident: FnvHashMap::default(),
             occupancy: FnvHashMap::default(),
             demand: DemandStats::new(4096),
-            rng: XorShiftRng::new(0xBAA5),
             access_clock: 0,
             replacements: 0,
             counter_reads: 0,
@@ -573,8 +570,8 @@ impl DramCacheController for BansheeController {
         out.push(("fbr_threshold", self.fbr.threshold()));
         out.push(("resident_pages", self.resident.len() as f64));
         out.push(("recent_miss_rate", self.demand.recent_miss_rate()));
-        // Cumulative gauges; the first two carry the EVENT_GAUGES names, so
-        // the recorder turns their per-window increases into polled events.
+        // Cumulative gauges: the series shows when maintenance happened as
+        // the sample-to-sample increase.
         out.push((
             "tag_buffer_flushes",
             (self.coherence.flushes() + self.set_full_flushes) as f64,
@@ -611,7 +608,6 @@ impl DramCacheController for BansheeController {
             w.u64(**unit);
         });
         self.demand.save(w);
-        self.rng.save(w);
         w.u64(self.access_clock);
         w.u64(self.replacements);
         w.u64(self.counter_reads);
@@ -690,7 +686,6 @@ impl DramCacheController for BansheeController {
             }
         }
         self.demand = DemandStats::restore(r)?;
-        self.rng = XorShiftRng::restore(r)?;
         self.access_clock = r.u64()?;
         self.replacements = r.u64()?;
         self.counter_reads = r.u64()?;
@@ -701,15 +696,12 @@ impl DramCacheController for BansheeController {
     }
 }
 
-// Keep the unused rng field honest: it is reserved for policies that need
-// controller-level randomness (none today).
 impl std::fmt::Debug for BansheeController {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BansheeController")
             .field("variant", &self.variant)
             .field("resident_pages", &self.resident.len())
             .field("replacements", &self.replacements)
-            .field("rng", &self.rng)
             .finish_non_exhaustive()
     }
 }

@@ -80,10 +80,10 @@ pub trait DramCacheController {
 
     /// Push design-specific telemetry gauges as `(name, value)` pairs for
     /// one time-series sample. Names must be stable within a run; values are
-    /// point-in-time (occupancy, threshold) or cumulative (the recorder
-    /// turns [`banshee_common::telemetry::EVENT_GAUGES`] names' increases
-    /// into polled events). The default pushes nothing; only called when
-    /// telemetry is enabled, so implementations need not be hot-path cheap.
+    /// point-in-time (occupancy, threshold) or cumulative (flush and halving
+    /// counts), and the report stores them as pushed. The default pushes
+    /// nothing; only called when telemetry is enabled, so implementations
+    /// need not be hot-path cheap.
     fn telemetry_gauges(&self, _out: &mut Vec<(&'static str, f64)>) {}
 
     /// Serialise the controller's mutable state (cache contents, counters,

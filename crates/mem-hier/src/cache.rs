@@ -1,10 +1,9 @@
 //! A generic set-associative, tag-only cache model.
 //!
 //! The model tracks presence and dirtiness of cache lines, not their data.
-//! It is used for the SRAM levels (L1D, L2, LLC) and reused by DRAM-cache
-//! designs that need an auxiliary tag structure (e.g. Alloy Cache's
-//! direct-mapped line tags are a 1-way instance; Banshee's tag buffer is an
-//! 8-way instance with extra per-entry payload kept by the caller).
+//! Only [`crate::CacheHierarchy`] builds it, for the SRAM levels (L1D, L2,
+//! LLC), and one row of the bench crate's `components` benchmark times it
+//! directly. The DRAM-cache designs keep their own tag structures.
 //!
 //! These lookups run on **every** simulated access (L1 + L2 + LLC), so the
 //! layout is optimized for the simulator's hot path:

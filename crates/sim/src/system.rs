@@ -50,7 +50,8 @@ pub struct System {
     /// simulation without influencing it, and results are byte-identical
     /// with the recorder on or off.
     recorder: Option<Box<Recorder>>,
-    /// Where to write telemetry files at collection time (None: discard).
+    /// Where to write the telemetry report at collection time (None:
+    /// discard).
     telemetry_sink: Option<TelemetrySink>,
 }
 
@@ -101,8 +102,8 @@ impl System {
         self.recorder = Some(Box::new(Recorder::new(config)));
     }
 
-    /// Set where [`System::run_measured`] writes the telemetry files. Export
-    /// errors degrade to a warning on stderr, never a failed run.
+    /// Set where [`System::run_measured`] writes the telemetry report.
+    /// Export errors degrade to a warning on stderr, never a failed run.
     pub fn set_telemetry_sink(&mut self, sink: TelemetrySink) {
         self.telemetry_sink = Some(sink);
     }
@@ -712,9 +713,9 @@ impl System {
         result
     }
 
-    /// Turn the recorder into a report and hand it to the configured
-    /// outputs. I/O failures degrade to a stderr warning — telemetry never
-    /// fails a run.
+    /// Turn the recorder into a report and write it to the configured sink.
+    /// I/O failures degrade to a stderr warning — telemetry never fails a
+    /// run.
     fn finish_telemetry(&mut self, result: &SimResult, final_cycles: Cycle) {
         let Some(rec) = self.recorder.take() else {
             return;

@@ -2,9 +2,13 @@
 //! recorder on must produce a `SimResult` byte-identical to the same run
 //! with the recorder off, and the exported report must reconcile with the
 //! final aggregates (measured sample deltas telescope to the result's
-//! traffic and instruction counts). The exported files are themselves a
-//! pure function of the inputs: two runs write identical bytes.
+//! traffic and instruction counts). The exported report is itself a pure
+//! function of the inputs: two runs write identical bytes. Maintenance
+//! that the event ring does not record (refreshes, write drains, tag-buffer
+//! flushes, FBR halvings) is carried by the samples alone, and they account
+//! for every occurrence.
 
+use banshee::BansheeConfig;
 use banshee_common::telemetry::{
     slug, EventKind, Sample, TelemetryConfig, TelemetryReport, TelemetrySink,
 };
@@ -26,9 +30,8 @@ fn test_config() -> TelemetryConfig {
 }
 
 /// Run one design with telemetry enabled, exporting under `dir`. Returns
-/// the result and the sink, whose paths name the written files.
-fn run_with_telemetry(design: DramCacheDesign, dir: &Path) -> (SimResult, TelemetrySink) {
-    let config = SimConfig::test_default(design);
+/// the result and the sink, whose path names the written report.
+fn run_with_telemetry(config: SimConfig, dir: &Path) -> (SimResult, TelemetrySink) {
     let w = workload();
     let name = w.name();
     let cell = slug(&config.design.label());
@@ -58,9 +61,10 @@ fn traffic_total(t: &banshee_common::TrafficStats) -> u64 {
 fn telemetry_on_results_are_byte_identical_for_every_design() {
     let dir = std::env::temp_dir().join(format!("banshee_tel_equiv_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    let mut lineup_maintenance = [0u64; 4];
     for design in DramCacheDesign::figure4_lineup() {
         let off = run_one(SimConfig::test_default(design), &workload());
-        let (on, sink) = run_with_telemetry(design, &dir);
+        let (on, sink) = run_with_telemetry(SimConfig::test_default(design), &dir);
         assert_eq!(
             serde_json::to_string_pretty(&off).unwrap(),
             serde_json::to_string_pretty(&on).unwrap(),
@@ -70,7 +74,7 @@ fn telemetry_on_results_are_byte_identical_for_every_design() {
 
         // The exported report must be present, parse back, and reconcile
         // with the final (baseline-subtracted) aggregates.
-        let report = read_report(&sink.json_path());
+        let report = read_report(sink.json_path());
         assert_eq!(report.design, on.design);
         assert!(!report.samples.is_empty(), "{}: no samples", on.design);
         assert!(
@@ -113,8 +117,8 @@ fn telemetry_on_results_are_byte_identical_for_every_design() {
             "{}: missing the MeasurementStart boundary event",
             on.design
         );
-        // The CSV's gauge columns come from the first sample, so every
-        // sample must carry the same gauge names in the same order.
+        // Gauges are a fixed set within a run: every sample carries the
+        // same names in the same order.
         let names =
             |s: &Sample| -> Vec<String> { s.gauges.iter().map(|(n, _)| n.clone()).collect() };
         let first = names(&report.samples[0]);
@@ -126,8 +130,68 @@ fn telemetry_on_results_are_byte_identical_for_every_design() {
                 on.design
             );
         }
+        // The samples are the only record of refreshes and write drains,
+        // so their per-window counts must sum to the run's totals, warm-up
+        // included.
+        let sum = |f: fn(&Sample) -> u64| -> u64 { report.samples.iter().map(f).sum() };
+        for (slot, (stat, summed)) in [
+            ("in_dram_refreshes", sum(|s| s.in_dram.refreshes)),
+            ("off_dram_refreshes", sum(|s| s.off_dram.refreshes)),
+            ("in_dram_write_drains", sum(|s| s.in_dram.write_drains)),
+            ("off_dram_write_drains", sum(|s| s.off_dram.write_drains)),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            lineup_maintenance[slot] += summed;
+            assert_eq!(
+                summed,
+                on.stats.get(stat),
+                "{}: samples do not sum to {stat}",
+                on.design
+            );
+        }
     }
+    assert!(
+        lineup_maintenance.iter().all(|&n| n > 0),
+        "every maintenance counter must move somewhere in the lineup: {lineup_maintenance:?}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn banshee_gauges_account_for_every_flush_and_halving() {
+    // The last sample's cumulative gauges are the only record of
+    // tag-buffer flushes and FBR counter halvings. Small tag buffers,
+    // narrow counters and full-rate sampling make both happen within the
+    // test budget.
+    let mut config = SimConfig::test_default(DramCacheDesign::Banshee);
+    config.banshee = Some(BansheeConfig {
+        tag_buffer_entries: 64,
+        counter_bits: 3,
+        sampling_coefficient: 1.0,
+        ..BansheeConfig::from_dcache(&config.dcache)
+    });
+    let dir = std::env::temp_dir().join(format!("banshee_tel_gauges_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (result, sink) = run_with_telemetry(config, &dir);
+    let report = read_report(sink.json_path());
+    let _ = std::fs::remove_dir_all(&dir);
+    let last = report.samples.last().expect("Banshee recorded samples");
+    let gauge = |name: &str| -> u64 {
+        let (_, value) = last
+            .gauges
+            .iter()
+            .find(|(n, _)| n == name)
+            .unwrap_or_else(|| panic!("no {name} gauge"));
+        *value as u64
+    };
+    let flushes = result.stats.get("banshee_tag_buffer_flushes")
+        + result.stats.get("banshee_set_full_flushes");
+    let halvings = result.stats.get("banshee_counter_halvings");
+    assert!(flushes > 0 && halvings > 0, "the run must flush and halve");
+    assert_eq!(gauge("tag_buffer_flushes"), flushes);
+    assert_eq!(gauge("fbr_counter_halvings"), halvings);
 }
 
 #[test]
@@ -178,24 +242,19 @@ fn unwritable_sink_degrades_to_a_warning() {
 #[test]
 fn telemetry_files_are_byte_identical_across_runs() {
     // The report holds no host time, so running a cell twice must write
-    // the same `.json`, `.csv` and `.trace.json` bytes.
+    // the same bytes.
     let base = std::env::temp_dir().join(format!("banshee_tel_repeat_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     for design in DramCacheDesign::figure4_lineup() {
-        let (_, first) = run_with_telemetry(design, &base.join("a"));
-        let (_, second) = run_with_telemetry(design, &base.join("b"));
-        for (a, b) in [
-            (first.json_path(), second.json_path()),
-            (first.csv_path(), second.csv_path()),
-            (first.trace_path(), second.trace_path()),
-        ] {
-            assert!(
-                read_bytes(&a) == read_bytes(&b),
-                "{} and {} differ",
-                a.display(),
-                b.display()
-            );
-        }
+        let (_, first) = run_with_telemetry(SimConfig::test_default(design), &base.join("a"));
+        let (_, second) = run_with_telemetry(SimConfig::test_default(design), &base.join("b"));
+        let (a, b) = (first.json_path(), second.json_path());
+        assert!(
+            read_bytes(a) == read_bytes(b),
+            "{} and {} differ",
+            a.display(),
+            b.display()
+        );
     }
     let _ = std::fs::remove_dir_all(&base);
 }

@@ -175,9 +175,9 @@ impl ScenarioOverrides {
 
 /// Telemetry-recorder knobs a scenario may carry. Pure parameterization:
 /// the block does *not* turn telemetry on — activation stays with the
-/// harness (`--telemetry DIR` / `BANSHEE_TELEMETRY`), so running the same
-/// scenario with telemetry off is bit-for-bit unchanged. When telemetry is
-/// active, set fields replace the recorder defaults.
+/// harness (`--telemetry DIR`), so running the same scenario with telemetry
+/// off is bit-for-bit unchanged. When telemetry is active, set fields
+/// replace the recorder defaults.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScenarioTelemetry {
     /// Instructions between time-series samples.
