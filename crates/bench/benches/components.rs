@@ -10,7 +10,7 @@ use banshee::{BansheeConfig, CacheSetMetadata, FrequencyReplacement, TagBuffer};
 use banshee_common::{Addr, LineAddr, PageNum, TrafficClass, XorShiftRng, ZipfSampler};
 use banshee_dcache::{DCacheConfig, DramCacheController, MemRequest};
 use banshee_dram::{DramConfig, DramDevice};
-use banshee_memhier::{PteMapInfo, ReplacementPolicy, SetAssocCache, Tlb, TlbEntry};
+use banshee_memhier::{PteMapInfo, SetAssocCache, Tlb, TlbEntry};
 use banshee_workloads::{SpecProgram, SyntheticGraph};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -47,7 +47,7 @@ fn bench_fbr(c: &mut Criterion) {
 
 fn bench_sram_cache(c: &mut Criterion) {
     c.bench_function("llc_tag_array_access", |b| {
-        let mut llc = SetAssocCache::new(8 * 1024 * 1024, 16, ReplacementPolicy::Lru);
+        let mut llc = SetAssocCache::new(8 * 1024 * 1024, 16);
         let mut i = 0u64;
         b.iter(|| {
             i = i.wrapping_add(0x9E37);

@@ -34,34 +34,6 @@ struct ExperimentTiming {
     seconds: f64,
 }
 
-/// Per-cell wall-clock row in `run_summary.json`.
-#[derive(Debug, Clone, Serialize)]
-struct CellTiming {
-    workload: String,
-    design: String,
-    from_store: bool,
-    resumed_warm: bool,
-    seconds: f64,
-    sim_seconds: f64,
-    instructions: u64,
-    instr_per_sec: f64,
-}
-
-impl From<&CellRecord> for CellTiming {
-    fn from(r: &CellRecord) -> Self {
-        CellTiming {
-            workload: r.workload.clone(),
-            design: r.design.clone(),
-            from_store: r.from_store,
-            resumed_warm: r.resumed_warm,
-            seconds: r.seconds,
-            sim_seconds: r.sim_seconds,
-            instructions: r.instructions,
-            instr_per_sec: r.instr_per_sec,
-        }
-    }
-}
-
 /// Metadata written to `target/experiments/run_summary.json` so per-PR
 /// trajectories (runtimes, cache behaviour) can be tracked.
 #[derive(Debug, Clone, Serialize)]
@@ -82,7 +54,7 @@ struct RunSummary {
     simulation_seconds: f64,
     sim_only_seconds: f64,
     experiments: Vec<ExperimentTiming>,
-    cells: Vec<CellTiming>,
+    cells: Vec<CellRecord>,
 }
 
 fn print_all(tables: Vec<Table>) {
@@ -491,12 +463,7 @@ fn main() {
         simulation_seconds: runner.counters.simulated_time().as_secs_f64(),
         sim_only_seconds: runner.counters.sim_only_time().as_secs_f64(),
         experiments: timings,
-        cells: runner
-            .counters
-            .cell_records()
-            .iter()
-            .map(CellTiming::from)
-            .collect(),
+        cells: runner.counters.cell_records(),
     };
     if let Err(err) = write_json("run_summary", &summary) {
         eprintln!("warning: failed to write run_summary.json ({err})");

@@ -56,11 +56,6 @@ pub fn run_main_matrix(runner: &Runner) -> MatrixResults {
     runner.run_matrix(&DramCacheDesign::figure4_lineup(), &full_suite())
 }
 
-/// A smaller matrix (sweep suite) used by tests and quick sanity passes.
-pub fn run_sweep_matrix(runner: &Runner) -> MatrixResults {
-    runner.run_matrix(&DramCacheDesign::figure4_lineup(), &sweep_suite())
-}
-
 /// All experiment names accepted by the `experiments` binary.
 pub const EXPERIMENT_NAMES: [&str; 12] = [
     "fig4",

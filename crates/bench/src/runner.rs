@@ -14,6 +14,7 @@ use banshee_dcache::DramCacheDesign;
 use banshee_exec::{JobPool, ResultStore};
 use banshee_sim::{SimConfig, SimResult, System};
 use banshee_workloads::{TraceFactory, Workload, WorkloadKind};
+use serde::Serialize;
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -131,9 +132,10 @@ impl CellReport {
     }
 }
 
-/// A compact per-cell wall-clock record, kept by [`RunnerCounters`] so the
-/// `experiments` binary can report per-cell timing in `run_summary.json`.
-#[derive(Debug, Clone)]
+/// A compact per-cell wall-clock record, kept by [`RunnerCounters`]; the
+/// `experiments` binary writes these as the `cells` rows of
+/// `run_summary.json`.
+#[derive(Debug, Clone, Serialize)]
 pub struct CellRecord {
     /// Workload label.
     pub workload: String,

@@ -147,11 +147,11 @@ fn footprint_factors_do_not_rekey_trace_cells() {
     std::fs::create_dir_all(&dir).unwrap();
     let workload = Workload::new(WorkloadKind::parse("gcc").unwrap(), 4 << 20, 7);
     TraceData::capture(&workload, 2, 100)
-        .write_binary_file(dir.join("t.btrace"))
+        .write_text_file(dir.join("t.trace"))
         .unwrap();
     let spec = ScenarioSpec::from_json_str(
         r#"{"name": "tk", "designs": ["NoCache"],
-            "workloads": [{"type": "trace", "path": "t.btrace"}],
+            "workloads": [{"type": "trace", "path": "t.trace"}],
             "sweep": {"footprint_factors": [2, 4]}}"#,
         &dir,
     )
@@ -186,13 +186,13 @@ fn trace_replay_reproduces_the_captured_workload() {
     for s in &mut data.streams {
         s.name = format!("{}_capture", s.name);
     }
-    let trace_path = dir.join("captured.btrace");
-    data.write_binary_file(&trace_path).unwrap();
+    let trace_path = dir.join("captured.trace");
+    data.write_text_file(&trace_path).unwrap();
 
     let json = format!(
         r#"{{
         "name": "replay",
-        "workloads": [{{"type": "trace", "path": "captured.btrace"}},
+        "workloads": [{{"type": "trace", "path": "captured.trace"}},
                       {{"type": "builtin", "name": "gcc"}}],
         "designs": ["Banshee"],
         "sweep": {{"footprint_factors": [{factor}], "seeds": [42]}},

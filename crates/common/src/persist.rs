@@ -43,7 +43,10 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"BSHSNAP\0";
 /// set and FBR's admission flag are gone.
 /// Format 4: the Banshee controller no longer persists its unused RNG
 /// stream.
-pub const SNAPSHOT_FORMAT: u32 = 4;
+/// Format 5: SRAM caches are LRU-only and no longer persist a replacement
+/// policy tag or a victim-selection RNG stream; DRAM channels no longer
+/// persist their never-reported buffered-write count.
+pub const SNAPSHOT_FORMAT: u32 = 5;
 
 /// Everything that can go wrong decoding a snapshot. Mirrors the typed
 /// errors of `trace_file.rs`: every variant is actionable and none panics.

@@ -19,33 +19,17 @@ use banshee_common::persist::{SnapshotError, SnapshotReader, SnapshotWriter};
 use banshee_common::{Cycle, DramKind, PageNum, StatSet, TrafficClass};
 use banshee_memhier::PteMapInfo;
 
-/// Configuration for the bandwidth balancer.
-#[derive(Debug, Clone, Copy)]
-pub struct BatmanConfig {
-    /// Target maximum share of traffic on the in-package DRAM (0.8 in the
-    /// paper).
-    pub target_in_package_share: f64,
-    /// Step (in percentage points of the page space) by which the bypass
-    /// fraction is adjusted each epoch.
-    pub adjust_step: u32,
-    /// Upper bound on the bypass fraction in percent.
-    pub max_bypass_pct: u32,
-}
-
-impl Default for BatmanConfig {
-    fn default() -> Self {
-        BatmanConfig {
-            target_in_package_share: 0.8,
-            adjust_step: 5,
-            max_bypass_pct: 50,
-        }
-    }
-}
+/// Target maximum share of traffic on the in-package DRAM (the paper's 80%).
+const TARGET_IN_PACKAGE_SHARE: f64 = 0.8;
+/// Step (in percentage points of the page space) by which the bypass
+/// fraction is adjusted each epoch.
+const ADJUST_STEP: u32 = 5;
+/// Upper bound on the bypass fraction in percent.
+const MAX_BYPASS_PCT: u32 = 50;
 
 /// The BATMAN wrapper.
 pub struct Batman {
     inner: Box<dyn DramCacheController>,
-    config: BatmanConfig,
     /// Percentage (0–100) of pages currently bypassing the DRAM cache.
     bypass_pct: u32,
     /// Traffic observed since the last adjustment.
@@ -57,12 +41,12 @@ pub struct Batman {
 }
 
 impl Batman {
-    /// Wrap an existing design with bandwidth balancing.
-    pub fn new(inner: Box<dyn DramCacheController>, config: BatmanConfig) -> Self {
+    /// Wrap an existing design with bandwidth balancing at the paper's 80%
+    /// target.
+    pub fn new(inner: Box<dyn DramCacheController>) -> Self {
         let name = format!("{} + BATMAN", inner.name());
         Batman {
             inner,
-            config,
             bypass_pct: 0,
             window_in_bytes: 0,
             window_off_bytes: 0,
@@ -70,11 +54,6 @@ impl Batman {
             adjustments: 0,
             name,
         }
-    }
-
-    /// Wrap with the paper's default 80% target.
-    pub fn with_default_config(inner: Box<dyn DramCacheController>) -> Self {
-        Self::new(inner, BatmanConfig::default())
     }
 
     /// Current bypass percentage (how much of the page space skips the DRAM
@@ -127,11 +106,10 @@ impl DramCacheController for Batman {
         let total = self.window_in_bytes + self.window_off_bytes;
         if total > 0 {
             let share = self.window_in_bytes as f64 / total as f64;
-            if share > self.config.target_in_package_share {
-                self.bypass_pct =
-                    (self.bypass_pct + self.config.adjust_step).min(self.config.max_bypass_pct);
+            if share > TARGET_IN_PACKAGE_SHARE {
+                self.bypass_pct = (self.bypass_pct + ADJUST_STEP).min(MAX_BYPASS_PCT);
             } else if self.bypass_pct > 0 {
-                self.bypass_pct = self.bypass_pct.saturating_sub(self.config.adjust_step);
+                self.bypass_pct = self.bypass_pct.saturating_sub(ADJUST_STEP);
             }
         }
         self.window_in_bytes = 0;
@@ -212,7 +190,7 @@ mod tests {
     fn bypass_grows_when_in_package_dominates() {
         // CacheOnly sends 100% of traffic in-package, so the balancer must
         // ramp the bypass fraction up.
-        let mut b = Batman::with_default_config(Box::new(CacheOnly::new()));
+        let mut b = Batman::new(Box::new(CacheOnly::new()));
         assert_eq!(b.bypass_pct(), 0);
         for round in 0..5 {
             for i in 0..200u64 {
@@ -241,7 +219,7 @@ mod tests {
 
     #[test]
     fn bypass_stays_zero_when_off_package_dominates() {
-        let mut b = Batman::with_default_config(Box::new(NoCache::new()));
+        let mut b = Batman::new(Box::new(NoCache::new()));
         for round in 0..5 {
             for i in 0..100u64 {
                 b.access_collected(&MemRequest::demand(Addr::new(i * 4096), 0), 0);
@@ -253,7 +231,7 @@ mod tests {
 
     #[test]
     fn bypass_recedes_when_balance_restored() {
-        let mut b = Batman::with_default_config(Box::new(CacheOnly::new()));
+        let mut b = Batman::new(Box::new(CacheOnly::new()));
         for round in 0..4 {
             for i in 0..100u64 {
                 b.access_collected(&MemRequest::demand(Addr::new(i * 4096), 0), 0);
@@ -280,7 +258,7 @@ mod tests {
     #[test]
     fn writebacks_are_never_bypassed() {
         let cfg = DCacheConfig::scaled(MemSize::mib(1));
-        let mut b = Batman::with_default_config(Box::new(UnisonCache::new(&cfg)));
+        let mut b = Batman::new(Box::new(UnisonCache::new(&cfg)));
         b.bypass_pct = 100;
         let plan = b.access_collected(&MemRequest::writeback(Addr::new(0x1000), 0), 0);
         // Unison's writeback path always probes the tag in-package.
@@ -289,7 +267,7 @@ mod tests {
 
     #[test]
     fn demand_stats_include_bypassed_accesses() {
-        let mut b = Batman::with_default_config(Box::new(CacheOnly::new()));
+        let mut b = Batman::new(Box::new(CacheOnly::new()));
         b.bypass_pct = 100;
         for i in 0..10u64 {
             b.access_collected(&MemRequest::demand(Addr::new(i * 4096), 0), 0);

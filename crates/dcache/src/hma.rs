@@ -24,27 +24,13 @@ use banshee_common::{
 };
 use banshee_memhier::PteMapInfo;
 
-/// Tuning knobs for the software remapping routine.
-#[derive(Debug, Clone, Copy)]
-pub struct HmaPolicy {
-    /// Per-migrated-page software cost in microseconds (PTE updates, TLB
-    /// shootdown share, cache scrubbing).
-    pub per_page_cost_us: f64,
-    /// Fixed cost of one remapping interval in microseconds.
-    pub base_cost_us: f64,
-    /// Upper bound on pages migrated (in each direction) per interval.
-    pub max_migrations: usize,
-}
-
-impl Default for HmaPolicy {
-    fn default() -> Self {
-        HmaPolicy {
-            per_page_cost_us: 2.0,
-            base_cost_us: 50.0,
-            max_migrations: 4096,
-        }
-    }
-}
+/// Per-migrated-page software cost in microseconds (PTE updates, TLB
+/// shootdown share, cache scrubbing).
+const PER_PAGE_COST_US: f64 = 2.0;
+/// Fixed cost of one remapping interval in microseconds.
+const BASE_COST_US: f64 = 50.0;
+/// Upper bound on pages migrated (in each direction) per interval.
+const MAX_MIGRATIONS: usize = 4096;
 
 /// The software-managed controller.
 #[derive(Debug)]
@@ -59,7 +45,6 @@ pub struct Hma {
     /// Demand-miss count of every page touched in the current interval,
     /// keyed by page number.
     counts: FnvHashMap<u64, u64>,
-    policy: HmaPolicy,
     cpu_clock: CyclesPerSec,
     demand: DemandStats,
     migrations_in: u64,
@@ -68,18 +53,12 @@ pub struct Hma {
 }
 
 impl Hma {
-    /// Build an HMA controller with the default policy.
+    /// Build an HMA controller.
     pub fn new(config: &DCacheConfig) -> Self {
-        Self::with_policy(config, HmaPolicy::default())
-    }
-
-    /// Build an HMA controller with an explicit policy.
-    pub fn with_policy(config: &DCacheConfig, policy: HmaPolicy) -> Self {
         Hma {
             capacity_pages: config.capacity_pages().max(1),
             cached: ReplaySet::new(),
             counts: FnvHashMap::default(),
-            policy,
             cpu_clock: CyclesPerSec::ghz(2.7),
             demand: DemandStats::new(4096),
             migrations_in: 0,
@@ -144,7 +123,7 @@ impl DramCacheController for Hma {
         let to_insert: Vec<PageNum> = want
             .iter()
             .filter(|p| !self.cached.contains(p))
-            .take(self.policy.max_migrations)
+            .take(MAX_MIGRATIONS)
             .copied()
             .collect();
         let to_evict: Vec<PageNum> = self
@@ -203,7 +182,7 @@ impl DramCacheController for Hma {
 
         // The OS stops every program while it migrates (Section 2.1.2).
         let pages_moved = (to_insert.len() + to_evict.len()) as f64;
-        let stall_us = self.policy.base_cost_us + self.policy.per_page_cost_us * pages_moved;
+        let stall_us = BASE_COST_US + PER_PAGE_COST_US * pages_moved;
         let pt_updates: Vec<(PageNum, PteMapInfo)> = to_insert
             .iter()
             .map(|p| (*p, PteMapInfo::cached_in(0)))

@@ -140,7 +140,6 @@ pub struct Channel {
     row_hits: u64,
     row_conflicts: u64,
     refreshes: u64,
-    writes_buffered: u64,
     write_drains: u64,
     /// Bytes actually moved across the data bus, per traffic class (rounded
     /// to the minimum transfer granule). Writes count at drain time.
@@ -188,7 +187,6 @@ impl Channel {
             row_hits: 0,
             row_conflicts: 0,
             refreshes: 0,
-            writes_buffered: 0,
             write_drains: 0,
             transferred: [0; TrafficClass::ALL.len()],
             queued: [0; TrafficClass::ALL.len()],
@@ -225,11 +223,6 @@ impl Channel {
     /// Number of all-bank refreshes performed.
     pub fn refresh_count(&self) -> u64 {
         self.refreshes
-    }
-
-    /// Number of writes that went through the write queue.
-    pub fn buffered_write_count(&self) -> u64 {
-        self.writes_buffered
     }
 
     /// Number of drain bursts (watermark or forced).
@@ -423,7 +416,6 @@ impl Channel {
         }
         let rounded = self.config.round_to_min_transfer(bytes);
         self.queued[class.index()] += rounded;
-        self.writes_buffered += 1;
         self.write_queue.push(WriteEntry {
             bank: bank as u32,
             row,
@@ -543,7 +535,6 @@ impl Channel {
         w.u64(self.row_hits);
         w.u64(self.row_conflicts);
         w.u64(self.refreshes);
-        w.u64(self.writes_buffered);
         w.u64(self.write_drains);
         for v in self.transferred.iter().chain(self.queued.iter()) {
             w.u64(*v);
@@ -621,7 +612,6 @@ impl Channel {
         self.row_hits = r.u64()?;
         self.row_conflicts = r.u64()?;
         self.refreshes = r.u64()?;
-        self.writes_buffered = r.u64()?;
         self.write_drains = r.u64()?;
         for v in self.transferred.iter_mut().chain(self.queued.iter_mut()) {
             *v = r.u64()?;

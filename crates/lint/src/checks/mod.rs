@@ -6,7 +6,6 @@
 //! known-bad fixture tree under `crates/lint/tests/fixtures/`.
 
 pub mod governance;
-pub mod key_material;
 pub mod std_hash;
 pub mod wall_clock;
 
@@ -40,7 +39,6 @@ pub fn run_check(id: CheckId, tree: &Tree, diags: &mut Vec<Diagnostic>) {
     match id {
         CheckId::StdHash => std_hash::check(tree, diags),
         CheckId::WallClock => wall_clock::check(tree, diags),
-        CheckId::KeyMaterial => key_material::check(tree, diags),
         CheckId::Governance => governance::check(tree, diags),
     }
 }

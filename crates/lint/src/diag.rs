@@ -10,20 +10,12 @@ pub enum CheckId {
     /// `Instant::now` / `SystemTime` outside the exec-pool/runner/bench
     /// allowlist.
     WallClock,
-    /// Every `SimConfig` field keys the result store or is a marked
-    /// execution knob.
-    KeyMaterial,
     /// Revision/format constants, fixtures and the CI guard agree.
     Governance,
 }
 
 /// Every check, in the order they run and report.
-pub const ALL_CHECKS: &[CheckId] = &[
-    CheckId::StdHash,
-    CheckId::WallClock,
-    CheckId::KeyMaterial,
-    CheckId::Governance,
-];
+pub const ALL_CHECKS: &[CheckId] = &[CheckId::StdHash, CheckId::WallClock, CheckId::Governance];
 
 impl CheckId {
     /// The check's CLI / report name.
@@ -31,7 +23,6 @@ impl CheckId {
         match self {
             CheckId::StdHash => "std-hash",
             CheckId::WallClock => "wall-clock",
-            CheckId::KeyMaterial => "key-material",
             CheckId::Governance => "governance",
         }
     }
@@ -51,10 +42,6 @@ impl CheckId {
             CheckId::WallClock => {
                 "no Instant::now/SystemTime outside exec-pool/runner/bench \
                  (or `// tidy: allow(wall-clock): <why>`)"
-            }
-            CheckId::KeyMaterial => {
-                "every SimConfig field flows into cache_key_material (manual Debug) \
-                 or carries `// tidy: exec-knob`"
             }
             CheckId::Governance => {
                 "MODEL_REVISION/SNAPSHOT_FORMAT documented and fixture-guarded; \

@@ -13,8 +13,8 @@
 //!   literal blanked to spaces (newlines preserved), so checks can search
 //!   for tokens like `Instant::now` or `std::collections::HashMap` without being
 //!   fooled by prose;
-//! * per-line comment text ([`SourceFile::comment_text`]) for marker
-//!   directives (`// tidy: allow(...)`, `// tidy: exec-knob`);
+//! * per-line comment text ([`SourceFile::comment_text`]) for the
+//!   `// tidy: allow(...)` marker directive;
 //! * the extracted string literals ([`SourceFile::strings`]) with their
 //!   offsets into `code`, so checks can recover e.g. `Persist` section
 //!   labels;

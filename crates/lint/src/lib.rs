@@ -3,13 +3,13 @@
 //! In the spirit of rust-lang's `tidy`: a fast, dependency-free lexical
 //! scan that enforces the invariants this simulator's correctness rests on
 //! but `rustc` cannot see — determinism (no randomly-seeded hashers, no
-//! wall-clock reads in sim state), key-material coverage (every `SimConfig`
-//! field keys the result store or is a declared execution knob), and
-//! model-governance coherence (revision constants, fixtures and the CI guard
-//! agree). `unsafe` needs no lint: the workspace forbids it in the compiler.
-//! See the check modules under [`checks`] for the individual rules and the
-//! markers (`// tidy: allow(..): why`, `// tidy: exec-knob`) that grant
-//! exceptions.
+//! wall-clock reads in sim state) and model-governance coherence (revision
+//! constants, fixtures and the CI guard agree). `unsafe` needs no lint: the
+//! workspace forbids it in the compiler, and key-material coverage needs
+//! none either: `SimConfig` derives the `Debug` string that keys the result
+//! store, so every field is key material by construction. See the check
+//! modules under [`checks`] for the individual rules and the
+//! `// tidy: allow(..): why` marker that grants exceptions.
 //!
 //! This is deliberately a *lexer*, not a parser: [`lexer::SourceFile`]
 //! blanks comments and strings out of a code view, records them in side

@@ -1,30 +1,12 @@
-//! Known-bad fixture: key-material and governance violations.
+//! Known-bad fixture: governance violations.
 
+#[derive(Clone, Debug)]
 pub struct SimConfig {
     pub cores: usize,
     pub seed: u64,
-    // tidy: exec-knob
-    pub shards: usize,
 }
 
 /// Revision history:
 /// 1. initial model;
 /// 2. second revision.
 pub const MODEL_REVISION: u32 = 3;
-
-impl std::fmt::Debug for SimConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let SimConfig { cores, seed: _, shards } = self;
-        f.debug_struct("SimConfig")
-            .field("cores", cores)
-            .field("shards", shards)
-            .field("typo_field", cores)
-            .finish()
-    }
-}
-
-impl SimConfig {
-    pub fn cache_key_material(&self) -> String {
-        format!("model-rev={}|{:?}", MODEL_REVISION, self)
-    }
-}

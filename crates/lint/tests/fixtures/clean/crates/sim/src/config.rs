@@ -1,32 +1,11 @@
 //! Clean fixture: fully governed config.
 
+#[derive(Clone, Debug)]
 pub struct SimConfig {
     pub cores: usize,
     pub seed: u64,
-    // tidy: exec-knob
-    pub shards: usize,
 }
 
 /// Revision history:
 /// 1. initial model.
 pub const MODEL_REVISION: u32 = 1;
-
-impl std::fmt::Debug for SimConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let SimConfig { cores, seed, shards: _ } = self;
-        f.debug_struct("SimConfig")
-            .field("cores", cores)
-            .field("seed", seed)
-            .finish()
-    }
-}
-
-impl SimConfig {
-    pub fn cache_key_material(&self) -> String {
-        format!("model-rev={}|{:?}", MODEL_REVISION, self)
-    }
-
-    pub fn warmup_key_material(&self) -> String {
-        self.cache_key_material()
-    }
-}

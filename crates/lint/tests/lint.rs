@@ -43,16 +43,8 @@ fn bad_tree_fires_every_check_at_the_expected_lines() {
         triple("governance", "crates/common/src/persist.rs", 3),
         // persist.rs: `save` frames two sections with the same label.
         triple("governance", "crates/common/src/persist.rs", 13),
-        // config.rs: the file-level finding for the missing warmup fn.
-        triple("key-material", "crates/sim/src/config.rs", 1),
-        // config.rs: `seed` neither keyed nor marked exec-knob.
-        triple("key-material", "crates/sim/src/config.rs", 5),
-        // config.rs: `shards` marked exec-knob but still keyed.
-        triple("key-material", "crates/sim/src/config.rs", 7),
         // config.rs: MODEL_REVISION = 3 with no `3.` history entry.
-        triple("governance", "crates/sim/src/config.rs", 13),
-        // config.rs: Debug keys `typo_field`, which is not a field.
-        triple("key-material", "crates/sim/src/config.rs", 21),
+        triple("governance", "crates/sim/src/config.rs", 12),
         // lib.rs: std HashMap import in sim-critical code.
         triple("std-hash", "crates/sim/src/lib.rs", 2),
         // lib.rs: Instant::now outside the allowlist.
@@ -109,7 +101,7 @@ fn cli_exit_codes_and_json() {
         .expect("run banshee_tidy");
     assert_eq!(bad.status.code(), Some(1), "findings must exit 1");
     let stdout = String::from_utf8_lossy(&bad.stdout);
-    assert!(stdout.contains("\"diagnostic_count\": 12"), "{stdout}");
+    assert!(stdout.contains("\"diagnostic_count\": 8"), "{stdout}");
     assert!(
         stdout.contains("crates/sim/src/lib.rs:2: [std-hash]"),
         "{stdout}"

@@ -1,4 +1,4 @@
-//! A generic set-associative, tag-only cache model.
+//! A generic set-associative, tag-only cache model with LRU replacement.
 //!
 //! The model tracks presence and dirtiness of cache lines, not their data.
 //! Only [`crate::CacheHierarchy`] builds it, for the SRAM levels (L1D, L2,
@@ -13,29 +13,15 @@
 //!   allocations scatter the tag arrays across the heap;
 //! * victim selection is O(1): a per-set valid bitmap finds free ways with
 //!   `trailing_zeros`, and an intrusive doubly-linked recency list (u8
-//!   next/prev indices embedded in each way) keeps exact LRU/FIFO order —
-//!   hits rotate the list head, the victim is always the tail — replacing
-//!   the former O(ways) timestamp scans.
+//!   next/prev indices embedded in each way) keeps exact LRU order — hits
+//!   rotate the list head, the victim is always the tail.
 //!
-//! The replacement behaviour is bit-for-bit identical to the timestamp
-//! implementation it replaced: free ways are claimed lowest-index-first, LRU
-//! evicts the least-recently-touched way, FIFO the oldest-inserted one, and
-//! Random draws from the same RNG stream.
+//! Free ways are claimed lowest-index-first, and a full set evicts its
+//! least-recently-touched way. `tests/lru_model.rs` checks this against a
+//! timestamp-LRU reference model.
 
 use banshee_common::persist::{Persist, SnapshotError, SnapshotReader, SnapshotWriter};
-use banshee_common::{FastDivMod, LineAddr, XorShiftRng};
-use serde::{Deserialize, Serialize};
-
-/// Victim-selection policy for a set-associative cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ReplacementPolicy {
-    /// Evict the least-recently-used way.
-    Lru,
-    /// Evict the oldest-inserted way (TDC's page FIFO).
-    Fifo,
-    /// Evict a uniformly random way.
-    Random,
-}
+use banshee_common::{FastDivMod, LineAddr};
 
 /// Sentinel for "no neighbour" in the intrusive recency list.
 const NONE: u8 = u8::MAX;
@@ -67,9 +53,9 @@ impl Default for Way {
 /// Per-set replacement state: recency-list endpoints + valid bitmap.
 #[derive(Debug, Clone, Copy)]
 struct SetState {
-    /// Most-recently-used (or most-recently-inserted, for FIFO) way.
+    /// Most-recently-used way.
     head: u8,
-    /// Least-recently-used / oldest-inserted way — the victim.
+    /// Least-recently-used way — the victim.
     tail: u8,
     /// Bit `w` set ⇔ way `w` is valid.
     valid_mask: u64,
@@ -98,8 +84,7 @@ pub struct AccessResult {
     pub evicted_clean: Option<LineAddr>,
     /// Global way index (`set * ways + way`) the line was found in or filled
     /// into — the key callers use to attach their own per-way metadata
-    /// (e.g. the hierarchy's inclusion masks). `usize::MAX` for a
-    /// non-allocating miss.
+    /// (e.g. the hierarchy's inclusion masks).
     pub slot: usize,
 }
 
@@ -119,10 +104,8 @@ pub struct SetAssocCache {
     /// Per-set replacement state.
     sets: Vec<SetState>,
     ways: usize,
-    policy: ReplacementPolicy,
     /// Set-count divider (mask/shift for power-of-two set counts).
     set_div: FastDivMod,
-    rng: XorShiftRng,
     hits: u64,
     misses: u64,
     writebacks: u64,
@@ -135,7 +118,7 @@ impl SetAssocCache {
     /// # Panics
     /// Panics if the geometry does not divide evenly, is empty, or exceeds
     /// 64 ways (the per-set valid bitmap's width).
-    pub fn new(capacity_bytes: u64, ways: usize, policy: ReplacementPolicy) -> Self {
+    pub fn new(capacity_bytes: u64, ways: usize) -> Self {
         assert!(ways > 0, "cache needs at least one way");
         assert!(ways <= 64, "associativity above 64 ways is not supported");
         let lines = capacity_bytes / banshee_common::CACHE_LINE_SIZE;
@@ -149,9 +132,7 @@ impl SetAssocCache {
             ways_flat: vec![Way::default(); num_sets * ways],
             sets: vec![SetState::default(); num_sets],
             ways,
-            policy,
             set_div: FastDivMod::new(num_sets as u64),
-            rng: XorShiftRng::new(0xCACE),
             hits: 0,
             misses: 0,
             writebacks: 0,
@@ -287,16 +268,6 @@ impl SetAssocCache {
     /// Access `line`; on a miss, allocate it (possibly evicting a victim).
     /// `write` marks the line dirty.
     pub fn access(&mut self, line: LineAddr, write: bool) -> AccessResult {
-        self.access_inner(line, write, true)
-    }
-
-    /// Access `line` without allocating on a miss (e.g. a probe that the
-    /// caller handles as uncached on miss).
-    pub fn access_no_allocate(&mut self, line: LineAddr, write: bool) -> AccessResult {
-        self.access_inner(line, write, false)
-    }
-
-    fn access_inner(&mut self, line: LineAddr, write: bool, allocate: bool) -> AccessResult {
         let set_idx = self.set_index(line);
         let tag = self.tag_of(line);
         let base = set_idx * self.ways;
@@ -304,9 +275,7 @@ impl SetAssocCache {
         // Hit path.
         if let Some(w) = self.find_way(set_idx, tag) {
             self.ways_flat[base + w].dirty |= write;
-            if self.policy == ReplacementPolicy::Lru {
-                self.move_to_front(set_idx, w as u8);
-            }
+            self.move_to_front(set_idx, w as u8);
             self.hits += 1;
             return AccessResult {
                 hit: true,
@@ -317,14 +286,6 @@ impl SetAssocCache {
         }
 
         self.misses += 1;
-        if !allocate {
-            return AccessResult {
-                hit: false,
-                writeback: None,
-                evicted_clean: None,
-                slot: usize::MAX,
-            };
-        }
 
         // Miss: pick a victim way.
         let victim_idx = self.pick_victim(set_idx);
@@ -360,17 +321,14 @@ impl SetAssocCache {
         }
     }
 
-    fn pick_victim(&mut self, set_idx: usize) -> usize {
-        // Prefer the lowest-index invalid way.
+    fn pick_victim(&self, set_idx: usize) -> usize {
+        // Prefer the lowest-index invalid way; otherwise evict the
+        // recency-list tail, the least-recently-touched way.
         let free = !self.sets[set_idx].valid_mask & self.full_mask();
         if free != 0 {
-            return free.trailing_zeros() as usize;
-        }
-        match self.policy {
-            // The recency-list tail is the least-recently-touched (LRU) or
-            // oldest-inserted (FIFO) way.
-            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => self.sets[set_idx].tail as usize,
-            ReplacementPolicy::Random => self.rng.next_below(self.ways as u64) as usize,
+            free.trailing_zeros() as usize
+        } else {
+            self.sets[set_idx].tail as usize
         }
     }
 
@@ -429,27 +387,6 @@ impl SetAssocCache {
     }
 }
 
-impl ReplacementPolicy {
-    fn persist_tag(self) -> u8 {
-        match self {
-            ReplacementPolicy::Lru => 0,
-            ReplacementPolicy::Fifo => 1,
-            ReplacementPolicy::Random => 2,
-        }
-    }
-
-    fn from_persist_tag(tag: u8) -> Result<Self, SnapshotError> {
-        match tag {
-            0 => Ok(ReplacementPolicy::Lru),
-            1 => Ok(ReplacementPolicy::Fifo),
-            2 => Ok(ReplacementPolicy::Random),
-            other => Err(SnapshotError::Corrupt(format!(
-                "unknown replacement policy tag {other}"
-            ))),
-        }
-    }
-}
-
 impl Persist for Way {
     fn save(&self, w: &mut SnapshotWriter) {
         w.bool(self.valid);
@@ -485,21 +422,19 @@ impl Persist for SetState {
 }
 
 // The full replacement state round-trips: every way with its recency-list
-// links, every set's list endpoints and valid bitmap, the Random-policy RNG
-// stream and the hit/miss counters. Geometry is stored too, so a restored
-// cache is self-contained; `set_div` is derived from it.
+// links, every set's list endpoints and valid bitmap, and the hit/miss
+// counters. Geometry is stored too, so a restored cache is self-contained;
+// `set_div` is derived from it.
 impl Persist for SetAssocCache {
     fn save(&self, w: &mut SnapshotWriter) {
         w.usize(self.sets.len());
         w.usize(self.ways);
-        w.u8(self.policy.persist_tag());
         for way in &self.ways_flat {
             way.save(w);
         }
         for set in &self.sets {
             set.save(w);
         }
-        self.rng.save(w);
         w.u64(self.hits);
         w.u64(self.misses);
         w.u64(self.writebacks);
@@ -513,7 +448,6 @@ impl Persist for SetAssocCache {
                 "invalid cache geometry: {num_sets} sets x {ways} ways"
             )));
         }
-        let policy = ReplacementPolicy::from_persist_tag(r.u8()?)?;
         let total_ways = num_sets
             .checked_mul(ways)
             .ok_or_else(|| SnapshotError::Corrupt("cache geometry overflows".to_string()))?;
@@ -533,14 +467,11 @@ impl Persist for SetAssocCache {
         for _ in 0..num_sets {
             sets.push(SetState::restore(r)?);
         }
-        let rng = XorShiftRng::restore(r)?;
         Ok(SetAssocCache {
             ways_flat,
             sets,
             ways,
-            policy,
             set_div: FastDivMod::new(num_sets as u64),
-            rng,
             hits: r.u64()?,
             misses: r.u64()?,
             writebacks: r.u64()?,
@@ -554,9 +485,9 @@ mod tests {
     use banshee_common::PageNum;
     use proptest::prelude::*;
 
-    fn small_cache(policy: ReplacementPolicy) -> SetAssocCache {
+    fn small_cache() -> SetAssocCache {
         // 4 sets x 2 ways x 64B = 512B.
-        SetAssocCache::new(512, 2, policy)
+        SetAssocCache::new(512, 2)
     }
 
     fn invalidated_page(c: &mut SetAssocCache, page: PageNum) -> Vec<(LineAddr, bool)> {
@@ -567,7 +498,7 @@ mod tests {
 
     #[test]
     fn geometry() {
-        let c = SetAssocCache::new(8 * 1024 * 1024, 16, ReplacementPolicy::Lru);
+        let c = SetAssocCache::new(8 * 1024 * 1024, 16);
         assert_eq!(c.ways(), 16);
         assert_eq!(c.num_sets(), 8 * 1024 * 1024 / 64 / 16);
     }
@@ -575,12 +506,12 @@ mod tests {
     #[test]
     #[should_panic]
     fn rejects_nondividing_geometry() {
-        let _ = SetAssocCache::new(64 * 3, 2, ReplacementPolicy::Lru);
+        let _ = SetAssocCache::new(64 * 3, 2);
     }
 
     #[test]
     fn miss_then_hit() {
-        let mut c = small_cache(ReplacementPolicy::Lru);
+        let mut c = small_cache();
         let line = LineAddr::new(100);
         assert!(!c.access(line, false).hit);
         assert!(c.access(line, false).hit);
@@ -592,7 +523,7 @@ mod tests {
 
     #[test]
     fn dirty_eviction_produces_writeback() {
-        let mut c = small_cache(ReplacementPolicy::Lru);
+        let mut c = small_cache();
         // Fill set 0 (lines ≡ 0 mod 4) with 2 ways, one dirty.
         let a = LineAddr::new(0);
         let b = LineAddr::new(4);
@@ -609,7 +540,7 @@ mod tests {
 
     #[test]
     fn lru_keeps_recently_touched() {
-        let mut c = small_cache(ReplacementPolicy::Lru);
+        let mut c = small_cache();
         let a = LineAddr::new(0);
         let b = LineAddr::new(4);
         c.access(a, false);
@@ -621,28 +552,8 @@ mod tests {
     }
 
     #[test]
-    fn fifo_evicts_oldest_insertion_despite_touches() {
-        let mut c = small_cache(ReplacementPolicy::Fifo);
-        let a = LineAddr::new(0);
-        let b = LineAddr::new(4);
-        c.access(a, false);
-        c.access(b, false);
-        c.access(a, false); // touching a does not save it under FIFO
-        let res = c.access(LineAddr::new(8), false);
-        assert_eq!(res.evicted(), Some(a));
-    }
-
-    #[test]
-    fn no_allocate_miss_leaves_cache_unchanged() {
-        let mut c = small_cache(ReplacementPolicy::Lru);
-        let res = c.access_no_allocate(LineAddr::new(3), false);
-        assert!(!res.hit);
-        assert_eq!(c.occupancy(), 0);
-    }
-
-    #[test]
     fn invalidate_returns_dirty_state() {
-        let mut c = small_cache(ReplacementPolicy::Lru);
+        let mut c = small_cache();
         let a = LineAddr::new(1);
         let b = LineAddr::new(2);
         c.access(a, true);
@@ -655,7 +566,7 @@ mod tests {
 
     #[test]
     fn invalidated_way_is_reused_before_eviction() {
-        let mut c = small_cache(ReplacementPolicy::Lru);
+        let mut c = small_cache();
         // Fill both ways of set 0, invalidate one, then allocate: the freed
         // way must be claimed without evicting the survivor.
         let a = LineAddr::new(0);
@@ -671,7 +582,7 @@ mod tests {
 
     #[test]
     fn invalidate_page_removes_all_lines_of_page() {
-        let mut c = SetAssocCache::new(64 * 1024, 4, ReplacementPolicy::Lru);
+        let mut c = SetAssocCache::new(64 * 1024, 4);
         let page = PageNum::new(7);
         for i in 0..banshee_common::addr::LINES_PER_PAGE {
             c.access(page.line_at(i), i % 2 == 0);
@@ -684,7 +595,7 @@ mod tests {
 
     #[test]
     fn invalidate_page_appends_to_out_buffer() {
-        let mut c = SetAssocCache::new(64 * 1024, 4, ReplacementPolicy::Lru);
+        let mut c = SetAssocCache::new(64 * 1024, 4);
         let page = PageNum::new(3);
         c.access(page.line_at(0), true);
         let mut removed = vec![(LineAddr::new(999), false)];
@@ -695,7 +606,7 @@ mod tests {
 
     #[test]
     fn mark_dirty_only_when_resident() {
-        let mut c = small_cache(ReplacementPolicy::Lru);
+        let mut c = small_cache();
         let a = LineAddr::new(5);
         assert!(!c.mark_dirty(a));
         c.access(a, false);
@@ -704,23 +615,6 @@ mod tests {
         c.access(LineAddr::new(1), false);
         let res = c.access(LineAddr::new(9), false);
         assert_eq!(res.writeback, Some(a));
-    }
-
-    #[test]
-    fn random_policy_eventually_evicts_everything() {
-        let mut c = small_cache(ReplacementPolicy::Random);
-        let a = LineAddr::new(0);
-        c.access(a, false);
-        // Hammer the same set with new lines; a must eventually be evicted.
-        let mut evicted = false;
-        for i in 1..200u64 {
-            c.access(LineAddr::new(i * 4), false);
-            if !c.probe(a) {
-                evicted = true;
-                break;
-            }
-        }
-        assert!(evicted);
     }
 
     /// The intrusive list and the valid bitmap always agree.
@@ -757,7 +651,7 @@ mod tests {
 
     #[test]
     fn persist_rejects_corrupt_geometry_and_truncation() {
-        let mut c = small_cache(ReplacementPolicy::Lru);
+        let mut c = small_cache();
         c.access(LineAddr::new(3), true);
         let bytes = snapshot_of(&c);
         // Truncated mid-way.
@@ -781,15 +675,9 @@ mod tests {
         #[test]
         fn prop_persist_round_trip(
             ops in proptest::collection::vec((0u64..512, 0u8..3), 0..200),
-            policy in 0u8..3,
             tail in proptest::collection::vec((0u64..512, 0u8..2), 0..50),
         ) {
-            let policy = match policy {
-                0 => ReplacementPolicy::Lru,
-                1 => ReplacementPolicy::Fifo,
-                _ => ReplacementPolicy::Random,
-            };
-            let mut c = SetAssocCache::new(2048, 4, policy);
+            let mut c = SetAssocCache::new(2048, 4);
             for (l, op) in ops {
                 match op {
                     0 => { c.access(LineAddr::new(l), false); }
@@ -816,7 +704,7 @@ mod tests {
         /// Occupancy never exceeds capacity and accounting is consistent.
         #[test]
         fn prop_occupancy_bounded(lines in proptest::collection::vec(0u64..4096, 1..300)) {
-            let mut c = SetAssocCache::new(4096, 4, ReplacementPolicy::Lru);
+            let mut c = SetAssocCache::new(4096, 4);
             let capacity = c.num_sets() * c.ways();
             for (i, l) in lines.iter().enumerate() {
                 c.access(LineAddr::new(*l), i % 3 == 0);
@@ -829,7 +717,7 @@ mod tests {
         /// After accessing a line it is always resident (allocate-on-miss).
         #[test]
         fn prop_accessed_line_is_resident(l in 0u64..100_000) {
-            let mut c = SetAssocCache::new(8192, 8, ReplacementPolicy::Lru);
+            let mut c = SetAssocCache::new(8192, 8);
             c.access(LineAddr::new(l), false);
             prop_assert!(c.probe(LineAddr::new(l)));
         }
@@ -838,7 +726,7 @@ mod tests {
         /// appears as a writeback.
         #[test]
         fn prop_dirty_lines_never_lost(lines in proptest::collection::vec(0u64..512, 1..400)) {
-            let mut c = SetAssocCache::new(2048, 2, ReplacementPolicy::Lru);
+            let mut c = SetAssocCache::new(2048, 2);
             let dirty_line = LineAddr::new(1000);
             c.access(dirty_line, true);
             let mut written_back = false;
@@ -851,19 +739,13 @@ mod tests {
             prop_assert!(written_back || c.probe(dirty_line));
         }
 
-        /// The recency list survives arbitrary access/invalidate interleavings
-        /// under every policy.
+        /// The recency list survives arbitrary access/invalidate
+        /// interleavings.
         #[test]
         fn prop_list_consistent_under_churn(
             ops in proptest::collection::vec((0u64..256, 0u8..3), 1..400),
-            policy in 0u8..3,
         ) {
-            let policy = match policy {
-                0 => ReplacementPolicy::Lru,
-                1 => ReplacementPolicy::Fifo,
-                _ => ReplacementPolicy::Random,
-            };
-            let mut c = SetAssocCache::new(2048, 4, policy);
+            let mut c = SetAssocCache::new(2048, 4);
             for (l, op) in ops {
                 match op {
                     0 => { c.access(LineAddr::new(l), false); }

@@ -8,7 +8,7 @@
 //! dirty evictions**. Those two event types are exactly what the
 //! [`HierarchyOutcome`] reports.
 
-use crate::cache::{ReplacementPolicy, SetAssocCache};
+use crate::cache::SetAssocCache;
 use banshee_common::persist::{Persist, SnapshotError, SnapshotReader, SnapshotWriter};
 use banshee_common::{Cycle, LineAddr, MemSize, PageNum};
 use serde::{Deserialize, Serialize};
@@ -130,28 +130,12 @@ impl CacheHierarchy {
             "inclusion masks support at most 64 cores"
         );
         let l1 = (0..config.cores)
-            .map(|_| {
-                SetAssocCache::new(
-                    config.l1_size.as_bytes(),
-                    config.l1_ways,
-                    ReplacementPolicy::Lru,
-                )
-            })
+            .map(|_| SetAssocCache::new(config.l1_size.as_bytes(), config.l1_ways))
             .collect();
         let l2 = (0..config.cores)
-            .map(|_| {
-                SetAssocCache::new(
-                    config.l2_size.as_bytes(),
-                    config.l2_ways,
-                    ReplacementPolicy::Lru,
-                )
-            })
+            .map(|_| SetAssocCache::new(config.l2_size.as_bytes(), config.l2_ways))
             .collect();
-        let llc = SetAssocCache::new(
-            config.llc_size.as_bytes(),
-            config.llc_ways,
-            ReplacementPolicy::Lru,
-        );
+        let llc = SetAssocCache::new(config.llc_size.as_bytes(), config.llc_ways);
         let llc_ways = llc.num_sets() * llc.ways();
         CacheHierarchy {
             config,

@@ -28,7 +28,7 @@ pub mod hierarchy;
 pub mod page_table;
 pub mod tlb;
 
-pub use cache::{AccessResult, ReplacementPolicy, SetAssocCache};
+pub use cache::{AccessResult, SetAssocCache};
 pub use hierarchy::{CacheHierarchy, HierarchyConfig, HierarchyOutcome, HitLevel};
 pub use page_table::{PageSize, PageTable, PteMapInfo};
 pub use tlb::{Tlb, TlbEntry};

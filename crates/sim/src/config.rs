@@ -6,10 +6,15 @@ use banshee_common::{Cycle, MemSize};
 use banshee_dcache::{DCacheConfig, DramCacheDesign};
 use banshee_dram::DramConfig;
 use banshee_memhier::HierarchyConfig;
-use std::fmt;
 
 /// Everything needed to run one simulation.
-#[derive(Clone)]
+///
+/// The derived `Debug` string is the result-store key material (see
+/// [`SimConfig::cache_key_material`]): every field is keyed by
+/// construction, so there are no execution knobs here. Settings that must
+/// not re-key cached results (worker counts, telemetry) live outside this
+/// struct.
+#[derive(Clone, Debug)]
 pub struct SimConfig {
     /// Number of cores (16 in Table 2).
     pub cores: usize,
@@ -60,61 +65,6 @@ pub struct SimConfig {
     pub banshee: Option<BansheeConfig>,
     /// RNG seed forwarded to stochastic components.
     pub seed: u64,
-}
-
-/// Hand-rolled although it renders exactly what `derive(Debug)` would: the
-/// `Debug` string is result-store key material (see
-/// [`SimConfig::cache_key_material`]), and `cargo tidy`'s key-material check
-/// reads the `.field(..)` calls here to prove every field is keyed. The
-/// exhaustive destructuring makes adding a field without deciding its
-/// key-material treatment a compile error.
-impl fmt::Debug for SimConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let SimConfig {
-            cores,
-            design,
-            dcache,
-            hierarchy,
-            in_dram,
-            off_dram,
-            mlp_per_core,
-            tlb_entries,
-            tlb_miss_latency,
-            issue_width,
-            epoch_instructions,
-            warmup_instructions,
-            total_instructions,
-            pte_update_cost_us,
-            shootdown_initiator_us,
-            shootdown_slave_us,
-            use_batman,
-            large_pages,
-            banshee,
-            seed,
-        } = self;
-        f.debug_struct("SimConfig")
-            .field("cores", cores)
-            .field("design", design)
-            .field("dcache", dcache)
-            .field("hierarchy", hierarchy)
-            .field("in_dram", in_dram)
-            .field("off_dram", off_dram)
-            .field("mlp_per_core", mlp_per_core)
-            .field("tlb_entries", tlb_entries)
-            .field("tlb_miss_latency", tlb_miss_latency)
-            .field("issue_width", issue_width)
-            .field("epoch_instructions", epoch_instructions)
-            .field("warmup_instructions", warmup_instructions)
-            .field("total_instructions", total_instructions)
-            .field("pte_update_cost_us", pte_update_cost_us)
-            .field("shootdown_initiator_us", shootdown_initiator_us)
-            .field("shootdown_slave_us", shootdown_slave_us)
-            .field("use_batman", use_batman)
-            .field("large_pages", large_pages)
-            .field("banshee", banshee)
-            .field("seed", seed)
-            .finish()
-    }
 }
 
 impl SimConfig {

@@ -33,7 +33,7 @@ pub fn build_controller(config: &SimConfig) -> Box<dyn DramCacheController> {
         )),
     };
     if config.use_batman {
-        Box::new(Batman::with_default_config(inner))
+        Box::new(Batman::new(inner))
     } else {
         inner
     }

@@ -117,11 +117,6 @@ impl System {
         }
     }
 
-    /// The workload-facing label of the simulated design.
-    pub fn design_name(&self) -> &str {
-        self.controller.name()
-    }
-
     /// Run warm-up plus the configured measurement budget and collect the
     /// result. Warm-up executes exactly like measurement (same workload, same
     /// controller state evolution) but its traffic, miss and cycle counts are

@@ -50,5 +50,5 @@ pub use scenario::{
 pub use spec::SpecProgram;
 pub use synthetic::{SyntheticParams, SyntheticTrace};
 pub use trace::{MemoryAccess, TraceCursor, TraceFactory, TraceGenerator};
-pub use trace_file::{TraceData, TraceFileError, TraceFileReader, TraceReplay, TraceStream};
+pub use trace_file::{TraceData, TraceFileError, TraceReplay, TraceStream};
 pub use workload::{Workload, WorkloadKind};

@@ -23,7 +23,7 @@
 //!     {"type": "synthetic", "name": "stream", "streaming_fraction": 0.9},
 //!     {"type": "phased", "name": "tenants", "phase_accesses": 200000,
 //!      "tenants": [{"like": "mcf", "share": 0.5}, {"like": "lbm", "share": 0.5}]},
-//!     {"type": "trace", "path": "traces/captured.btrace"}
+//!     {"type": "trace", "path": "traces/captured.trace"}
 //!   ],
 //!   "designs": ["NoCache", "Banshee"],
 //!   "sweep": {"footprint_factors": [2, 4], "seeds": [42],
@@ -1577,8 +1577,8 @@ mod tests {
                 accesses: vec![crate::MemoryAccess::load(banshee_common::Addr::new(64), 1)],
             }],
         };
-        data.write_binary_file(dir.join("t.btrace")).unwrap();
-        let json = r#"{"name": "tr", "workloads": [{"type": "trace", "path": "t.btrace"}]}"#;
+        data.write_text_file(dir.join("t.trace")).unwrap();
+        let json = r#"{"name": "tr", "workloads": [{"type": "trace", "path": "t.trace"}]}"#;
         let spec = ScenarioSpec::from_json_str(json, &dir).unwrap();
         let km1 = spec.workloads[0].spec.key_material();
         assert!(km1.contains("trace-content="));
@@ -1586,16 +1586,16 @@ mod tests {
         // Same path, different content => different key material.
         let mut data2 = data.clone();
         data2.streams[0].accesses[0].inst_gap = 9;
-        data2.write_binary_file(dir.join("t.btrace")).unwrap();
+        data2.write_text_file(dir.join("t.trace")).unwrap();
         let spec2 = ScenarioSpec::from_json_str(json, &dir).unwrap();
         assert_ne!(km1, spec2.workloads[0].spec.key_material());
 
         // Missing file is an actionable error.
-        let missing = r#"{"name": "tr", "workloads": [{"type": "trace", "path": "no.btrace"}]}"#;
+        let missing = r#"{"name": "tr", "workloads": [{"type": "trace", "path": "no.trace"}]}"#;
         let e = ScenarioSpec::from_json_str(missing, &dir)
             .unwrap_err()
             .to_string();
-        assert!(e.contains("no.btrace"), "error was: {e}");
+        assert!(e.contains("no.trace"), "error was: {e}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -53,12 +53,6 @@ impl WorkloadKind {
         }
     }
 
-    /// Whether this workload shares one address space across cores
-    /// (multi-threaded) rather than running per-core programs.
-    pub fn is_shared(&self) -> bool {
-        matches!(self, WorkloadKind::Graph(_))
-    }
-
     /// Every workload the catalogue can name: graph kernels, all SPEC
     /// programs (including the mix-only ones) and the Table 4 mixes.
     pub fn catalogue() -> Vec<WorkloadKind> {

@@ -1,5 +1,5 @@
 //! Mangling helpers shared by the decoder property tests: truncation, bit
-//! flips and number-literal swaps of a JSON text. Test targets include this
+//! flips and number-literal swaps of a JSON or trace text. Test targets include this
 //! file as a module (`mod mangle;` beside it, `#[path]` from other crates).
 
 /// Byte spans of the number literals outside JSON strings.

@@ -1,12 +1,16 @@
 //! Property tests for the trace-file format: arbitrary access streams must
-//! round-trip through both encodings, and mangled files must fail with
-//! errors, never panics.
+//! round-trip through the text encoding, and mangled files must fail with
+//! typed errors, never panics.
+
+mod mangle;
 
 use banshee_common::Addr;
-use banshee_workloads::trace_file::{TraceData, TraceStream, TRACE_MAGIC};
+use banshee_workloads::trace_file::{TraceData, TraceStream, TEXT_HEADER};
 use banshee_workloads::MemoryAccess;
+use mangle::{flip_bits, swap_numbers, truncate};
 use proptest::collection::vec;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 type RawAccess = (u64, bool, u32);
 type RawStream = Vec<RawAccess>;
@@ -32,19 +36,27 @@ fn build(streams: Vec<RawStream>) -> TraceData {
     }
 }
 
+/// Decode a mangled copy of a trace's text. It must not panic, and a trace
+/// that does decode must survive a re-encode round trip, so the decoder
+/// accepts nothing the encoder cannot write.
+fn check_mangled(input: &str) -> Result<Option<TraceData>, TestCaseError> {
+    let Ok(decoded) = TraceData::from_text(input) else {
+        return Ok(None);
+    };
+    let text = decoded
+        .to_text()
+        .map_err(|e| TestCaseError::fail(format!("decoded trace does not re-encode: {e}")))?;
+    let again = TraceData::from_text(&text).ok();
+    prop_assert_eq!(
+        again.as_ref(),
+        Some(&decoded),
+        "re-encoded trace decodes differently"
+    );
+    Ok(Some(decoded))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn binary_round_trip_is_byte_identical(
-        streams in vec(vec((0u64..(1 << 48), any::<bool>(), 0u32..100_000), 0..200), 1..5)
-    ) {
-        let data = build(streams);
-        let bytes = data.to_binary();
-        let back = TraceData::from_binary(&bytes).expect("canonical bytes decode");
-        prop_assert_eq!(&back, &data);
-        prop_assert_eq!(back.to_binary(), bytes);
-    }
 
     #[test]
     fn text_round_trip_preserves_every_access(
@@ -58,41 +70,68 @@ proptest! {
     }
 
     #[test]
-    fn truncation_never_panics_and_always_errors(
+    fn truncated_text_never_panics_or_decodes_to_the_trace(
         streams in vec(vec((0u64..(1 << 48), any::<bool>(), 0u32..100_000), 1..50), 1..3),
-        cut_fraction in 0u32..1000
+        a in any::<u64>(),
     ) {
         let data = build(streams);
-        let bytes = data.to_binary();
-        let cut = (bytes.len() as u64 * cut_fraction as u64 / 1000) as usize;
-        prop_assert!(cut < bytes.len());
-        prop_assert!(TraceData::from_binary(&bytes[..cut]).is_err());
+        let text = data.to_text().expect("whitespace-free names encode");
+        let cut = truncate(&text, a);
+        let decoded = check_mangled(&cut)?;
+        // Only dropping the final newline leaves the content intact.
+        if cut.len() + 1 < text.len() {
+            prop_assert!(
+                decoded.as_ref() != Some(&data),
+                "a {}-byte prefix of {} bytes decoded to the whole trace",
+                cut.len(),
+                text.len()
+            );
+        }
     }
 
     #[test]
-    fn single_byte_flips_in_the_header_error_or_change_content(
-        accesses in vec((0u64..(1 << 48), any::<bool>(), 0u32..100_000), 1..50),
-        flip_at in 0usize..16,
-        flip_bit in 0u8..8
+    fn bit_flipped_text_never_panics(
+        streams in vec(vec((0u64..(1 << 48), any::<bool>(), 0u32..100_000), 1..50), 1..3),
+        a in any::<u64>(),
+        b in any::<u64>(),
     ) {
-        // Flipping any bit in the magic/version/stream-count header must
-        // either fail cleanly or (for the stream count) fail as truncated —
-        // never panic, never succeed with the same content.
-        let data = build(vec![accesses]);
-        let mut bytes = data.to_binary();
-        bytes[flip_at] ^= 1 << flip_bit;
-        match TraceData::from_binary(&bytes) {
-            Err(_) => {}
-            Ok(decoded) => prop_assert!(
-                decoded != data,
-                "a corrupted header byte decoded to the identical trace"
-            ),
+        let text = build(streams).to_text().expect("whitespace-free names encode");
+        check_mangled(&flip_bits(&text, a, b))?;
+    }
+
+    #[test]
+    fn number_swapped_text_never_panics(
+        streams in vec(vec((0u64..(1 << 48), any::<bool>(), 0u32..100_000), 1..50), 1..3),
+        a in any::<u64>(),
+        b in any::<u64>(),
+    ) {
+        let text = build(streams).to_text().expect("whitespace-free names encode");
+        check_mangled(&swap_numbers(&text, a, b))?;
+    }
+
+    #[test]
+    fn read_file_never_panics_on_flipped_bytes(
+        accesses in vec((0u64..(1 << 48), any::<bool>(), 0u32..100_000), 1..50),
+        flips in vec((any::<u64>(), 0u8..8), 1..5),
+    ) {
+        // Raw byte flips, unlike `flip_bits`, can leave invalid UTF-8.
+        let mut bytes = build(vec![accesses]).to_text().expect("encodes").into_bytes();
+        for (pos, bit) in flips {
+            let len = bytes.len() as u64;
+            bytes[(pos % len) as usize] ^= 1 << bit;
         }
+        let dir = std::env::temp_dir().join(format!("banshee_trace_flip_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create temp dir");
+        let path = dir.join("flipped.trace");
+        std::fs::write(&path, &bytes).expect("write flipped trace");
+        let _ = TraceData::read_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
 #[test]
-fn magic_is_the_advertised_constant() {
+fn text_starts_with_the_advertised_header() {
     let data = build(vec![vec![(64, false, 1)]]);
-    assert_eq!(&data.to_binary()[..8], &TRACE_MAGIC);
+    let text = data.to_text().expect("encodes");
+    assert_eq!(text.lines().next(), Some(TEXT_HEADER));
 }
