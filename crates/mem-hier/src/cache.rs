@@ -333,34 +333,23 @@ impl SetAssocCache {
     }
 
     /// Remove a line if present; returns `Some(dirty)` if it was present.
+    #[inline]
     pub fn invalidate(&mut self, line: LineAddr) -> Option<bool> {
+        self.invalidate_slot(line).map(|(_, dirty)| dirty)
+    }
+
+    /// Remove a line if present; returns the global way index it occupied
+    /// (the [`AccessResult::slot`] key) and its dirty bit.
+    pub(crate) fn invalidate_slot(&mut self, line: LineAddr) -> Option<(usize, bool)> {
         let set_idx = self.set_index(line);
         let tag = self.tag_of(line);
         let w = self.find_way(set_idx, tag)?;
-        let dirty = self.ways_flat[set_idx * self.ways + w].dirty;
+        let slot = set_idx * self.ways + w;
+        let dirty = self.ways_flat[slot].dirty;
         self.unlink(set_idx, w as u8);
-        self.ways_flat[set_idx * self.ways + w] = Way::default();
+        self.ways_flat[slot] = Way::default();
         self.sets[set_idx].valid_mask &= !(1u64 << w);
-        Some(dirty)
-    }
-
-    /// Remove every line belonging to 4 KiB page `page`, appending the
-    /// removed lines with their dirty bit to `removed` (an out-buffer the
-    /// caller reuses, so page scrubbing does not allocate). This is the
-    /// "cache scrubbing" operation that address-consistency problems force
-    /// on NUMA-style designs (HMA), and that Banshee avoids by keeping
-    /// physical addresses stable.
-    pub fn invalidate_page(
-        &mut self,
-        page: banshee_common::PageNum,
-        removed: &mut Vec<(LineAddr, bool)>,
-    ) {
-        for idx in 0..banshee_common::addr::LINES_PER_PAGE {
-            let line = page.line_at(idx);
-            if let Some(dirty) = self.invalidate(line) {
-                removed.push((line, dirty));
-            }
-        }
+        Some((slot, dirty))
     }
 
     /// Mark a resident line dirty (used when an upper level writes back into
@@ -384,6 +373,16 @@ impl SetAssocCache {
             .iter()
             .map(|s| s.valid_mask.count_ones() as usize)
             .sum()
+    }
+
+    /// Every resident line with its global way index (tests only).
+    #[cfg(test)]
+    pub(crate) fn resident_lines(&self) -> impl Iterator<Item = (usize, LineAddr)> + '_ {
+        self.ways_flat
+            .iter()
+            .enumerate()
+            .filter(|(_, way)| way.valid)
+            .map(|(slot, way)| (slot, self.line_from(slot / self.ways, way.tag)))
     }
 }
 
@@ -482,18 +481,11 @@ impl Persist for SetAssocCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use banshee_common::PageNum;
     use proptest::prelude::*;
 
     fn small_cache() -> SetAssocCache {
         // 4 sets x 2 ways x 64B = 512B.
         SetAssocCache::new(512, 2)
-    }
-
-    fn invalidated_page(c: &mut SetAssocCache, page: PageNum) -> Vec<(LineAddr, bool)> {
-        let mut removed = Vec::new();
-        c.invalidate_page(page, &mut removed);
-        removed
     }
 
     #[test]
@@ -565,6 +557,16 @@ mod tests {
     }
 
     #[test]
+    fn invalidate_slot_returns_the_access_slot() {
+        let mut c = small_cache();
+        let a = LineAddr::new(6);
+        let slot = c.access(a, true).slot;
+        assert_eq!(c.invalidate_slot(a), Some((slot, true)));
+        assert_eq!(c.invalidate_slot(a), None);
+        assert_eq!(c.resident_lines().count(), 0);
+    }
+
+    #[test]
     fn invalidated_way_is_reused_before_eviction() {
         let mut c = small_cache();
         // Fill both ways of set 0, invalidate one, then allocate: the freed
@@ -578,30 +580,6 @@ mod tests {
         assert_eq!(res.evicted(), None);
         assert!(c.probe(b));
         assert_eq!(c.occupancy(), 2);
-    }
-
-    #[test]
-    fn invalidate_page_removes_all_lines_of_page() {
-        let mut c = SetAssocCache::new(64 * 1024, 4);
-        let page = PageNum::new(7);
-        for i in 0..banshee_common::addr::LINES_PER_PAGE {
-            c.access(page.line_at(i), i % 2 == 0);
-        }
-        let removed = invalidated_page(&mut c, page);
-        assert_eq!(removed.len() as u64, banshee_common::addr::LINES_PER_PAGE);
-        assert_eq!(removed.iter().filter(|(_, d)| *d).count() as u64, 32);
-        assert_eq!(c.occupancy(), 0);
-    }
-
-    #[test]
-    fn invalidate_page_appends_to_out_buffer() {
-        let mut c = SetAssocCache::new(64 * 1024, 4);
-        let page = PageNum::new(3);
-        c.access(page.line_at(0), true);
-        let mut removed = vec![(LineAddr::new(999), false)];
-        c.invalidate_page(page, &mut removed);
-        assert_eq!(removed.len(), 2, "out-buffer contents must be preserved");
-        assert_eq!(removed[1], (page.line_at(0), true));
     }
 
     #[test]

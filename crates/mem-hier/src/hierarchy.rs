@@ -9,6 +9,7 @@
 //! [`HierarchyOutcome`] reports.
 
 use crate::cache::SetAssocCache;
+use banshee_common::addr::LINES_PER_PAGE;
 use banshee_common::persist::{Persist, SnapshotError, SnapshotReader, SnapshotWriter};
 use banshee_common::{Cycle, LineAddr, MemSize, PageNum};
 use serde::{Deserialize, Serialize};
@@ -116,9 +117,6 @@ pub struct CacheHierarchy {
     /// heavy workloads; because the mask is a superset, results are
     /// identical to probing everyone.
     llc_presence: Vec<u64>,
-    /// Reusable out-buffer for per-level page invalidations, so page flushes
-    /// do not allocate per level.
-    page_scratch: Vec<(LineAddr, bool)>,
 }
 
 impl CacheHierarchy {
@@ -145,7 +143,6 @@ impl CacheHierarchy {
             llc_accesses: 0,
             llc_misses: 0,
             llc_presence: vec![0; llc_ways],
-            page_scratch: Vec::new(),
         }
     }
 
@@ -183,8 +180,10 @@ impl CacheHierarchy {
                 memory_writebacks,
             };
         }
-        // A dirty L1 victim is absorbed by L2/LLC if present there, else it
-        // must go to memory (possible after an LLC back-invalidation race).
+        // A dirty L1 victim is absorbed by L2 if present there, else by the
+        // LLC, which always holds it under strict inclusion
+        // (`prop_strict_inclusion` pins that); the memory fallback only keeps
+        // the data if that invariant were ever broken.
         if let Some(victim) = l1_res.writeback {
             if !self.l2[core].mark_dirty(victim) && !self.llc.mark_dirty(victim) {
                 memory_writebacks.push(victim);
@@ -264,37 +263,30 @@ impl CacheHierarchy {
     }
 
     /// Flush every line of a 4 KiB page from all levels, appending the dirty
-    /// lines that must be written back to memory to `dirty_lines` (sorted
-    /// and deduplicated; the buffer should be empty on entry so the caller
-    /// can reuse one allocation across flushes). NUMA-style remapping
+    /// lines that must be written back to memory to `dirty_lines` in
+    /// ascending order, each once. The buffer must be empty on entry, so the
+    /// caller can reuse one allocation across flushes. NUMA-style remapping
     /// designs (HMA) must do this on every page migration to keep physical
     /// addresses consistent; Banshee never needs it.
+    ///
+    /// The LLC drives the flush: under strict inclusion a line absent from
+    /// the LLC is in no private cache, and a present line can only be in the
+    /// private caches of the cores in its way's presence mask. So each line
+    /// costs one LLC probe plus a back-invalidation of the masked cores,
+    /// instead of a probe in every cache. The mask is left as it is; the
+    /// way's next fill resets it.
     pub fn flush_page_into(&mut self, page: PageNum, dirty_lines: &mut Vec<LineAddr>) {
-        let scratch = &mut self.page_scratch;
-        scratch.clear();
-        for l1 in self.l1.iter_mut() {
-            l1.invalidate_page(page, scratch);
+        debug_assert!(dirty_lines.is_empty(), "flush out-buffer not cleared");
+        for idx in 0..LINES_PER_PAGE {
+            let line = page.line_at(idx);
+            let Some((slot, llc_dirty)) = self.llc.invalidate_slot(line) else {
+                continue;
+            };
+            let private_dirty = self.back_invalidate(line, self.llc_presence[slot]);
+            if llc_dirty || private_dirty {
+                dirty_lines.push(line);
+            }
         }
-        for l2 in self.l2.iter_mut() {
-            l2.invalidate_page(page, scratch);
-        }
-        self.llc.invalidate_page(page, scratch);
-        dirty_lines.extend(
-            scratch
-                .iter()
-                .filter(|(_, dirty)| *dirty)
-                .map(|(line, _)| *line),
-        );
-        dirty_lines.sort_unstable_by_key(|l| l.raw());
-        dirty_lines.dedup();
-    }
-
-    /// Convenience wrapper over [`CacheHierarchy::flush_page_into`] that
-    /// returns a fresh `Vec` (tests and cold paths).
-    pub fn flush_page(&mut self, page: PageNum) -> Vec<LineAddr> {
-        let mut dirty_lines = Vec::new();
-        self.flush_page_into(page, &mut dirty_lines);
-        dirty_lines
     }
 }
 
@@ -336,8 +328,6 @@ impl Persist for CacheHierarchy {
         w.u64(self.llc_accesses);
         w.u64(self.llc_misses);
         w.seq(self.llc_presence.iter());
-        // page_scratch is a reusable out-buffer, cleared before every use —
-        // deliberately not persisted.
     }
     fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
         let config = HierarchyConfig::restore(r)?;
@@ -390,7 +380,6 @@ impl Persist for CacheHierarchy {
             llc_accesses,
             llc_misses,
             llc_presence,
-            page_scratch: Vec::new(),
         })
     }
 }
@@ -398,10 +387,15 @@ impl Persist for CacheHierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tiny() -> CacheHierarchy {
+        tiny_with_cores(2)
+    }
+
+    fn tiny_with_cores(cores: usize) -> CacheHierarchy {
         CacheHierarchy::new(HierarchyConfig {
-            cores: 2,
+            cores,
             l1_size: MemSize::bytes(512),
             l1_ways: 2,
             l1_latency: 4,
@@ -484,7 +478,8 @@ mod tests {
         h.access(0, page.line_at(0), true);
         h.access(0, page.line_at(1), false);
         h.access(1, page.line_at(2), true);
-        let dirty = h.flush_page(page);
+        let mut dirty = Vec::new();
+        h.flush_page_into(page, &mut dirty);
         assert!(dirty.contains(&page.line_at(0)));
         assert!(dirty.contains(&page.line_at(2)));
         assert!(!dirty.contains(&page.line_at(1)));
@@ -554,5 +549,125 @@ mod tests {
         assert!(CacheHierarchy::restore(&mut SnapshotReader::new(&bad)).is_err());
         let mut r = SnapshotReader::new(&bytes[..40]);
         assert!(CacheHierarchy::restore(&mut r).is_err());
+    }
+
+    /// The flush the LLC-driven loop replaced: probe every line of the page
+    /// in every L1, every L2 and the LLC, then sort and deduplicate the
+    /// dirty lines. It relies on no inclusion property, so it is the
+    /// reference for `flush_page_into`.
+    fn flush_page_by_scan(h: &mut CacheHierarchy, page: PageNum) -> Vec<LineAddr> {
+        let mut dirty_lines = Vec::new();
+        let caches = h.l1.iter_mut().chain(h.l2.iter_mut());
+        for cache in caches.chain(std::iter::once(&mut h.llc)) {
+            for idx in 0..LINES_PER_PAGE {
+                let line = page.line_at(idx);
+                if cache.invalidate(line) == Some(true) {
+                    dirty_lines.push(line);
+                }
+            }
+        }
+        dirty_lines.sort_unstable_by_key(|l| l.raw());
+        dirty_lines.dedup();
+        dirty_lines
+    }
+
+    fn snapshot_of(h: &CacheHierarchy) -> Vec<u8> {
+        let mut w = banshee_common::SnapshotWriter::new();
+        h.save(&mut w);
+        w.into_bytes()
+    }
+
+    /// A line of a random stream. Raw values below 512 span 8 pages, eight
+    /// times the tiny LLC, so streams evict; the rest fold onto 16 hot lines
+    /// of page 0, so streams also hit in L1 and L2, where a write dirties
+    /// only the private copy.
+    fn line_of(raw: u64) -> LineAddr {
+        LineAddr::new(if raw < 512 { raw } else { raw % 16 })
+    }
+
+    /// One step of a random stream: `(core, line, op)` with op 7 a flush of
+    /// the line's page and any other op an access, a write when odd.
+    fn step(h: &mut CacheHierarchy, (core, line, op): (usize, u64, u8)) {
+        let line = line_of(line);
+        if op == 7 {
+            let mut dirty_lines = Vec::new();
+            h.flush_page_into(line.page(), &mut dirty_lines);
+        } else {
+            h.access(core % h.config.cores, line, op % 2 == 1);
+        }
+    }
+
+    /// Strict inclusion: every valid L1/L2 line is in the LLC, and its
+    /// core's bit is set in that way's presence mask.
+    fn check_strict_inclusion(h: &CacheHierarchy) -> Result<(), String> {
+        let llc_slot: std::collections::HashMap<LineAddr, usize> = h
+            .llc
+            .resident_lines()
+            .map(|(slot, line)| (line, slot))
+            .collect();
+        for core in 0..h.config.cores {
+            let private = h.l1[core]
+                .resident_lines()
+                .chain(h.l2[core].resident_lines());
+            for (_, line) in private {
+                let Some(&slot) = llc_slot.get(&line) else {
+                    return Err(format!("core {core} holds {line:?}, which the LLC lacks"));
+                };
+                if h.llc_presence[slot] & (1u64 << core) == 0 {
+                    return Err(format!(
+                        "core {core} holds {line:?} without its presence bit"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The invariant that makes the LLC-driven flush exact holds after
+        /// every access and every flush.
+        #[test]
+        fn prop_strict_inclusion(
+            cores in 2usize..5,
+            ops in proptest::collection::vec((0usize..4, 0u64..1024, 0u8..8), 1..600),
+        ) {
+            let mut h = tiny_with_cores(cores);
+            for op in ops {
+                step(&mut h, op);
+                prop_assert_eq!(check_strict_inclusion(&h), Ok(()));
+            }
+        }
+
+        /// The LLC-driven flush and the all-caches scan return the same
+        /// dirty lines and leave byte-identical state that behaves the same
+        /// afterwards.
+        #[test]
+        fn prop_flush_matches_all_caches_scan(
+            cores in 2usize..5,
+            warmup in proptest::collection::vec((0usize..4, 0u64..1024, 0u8..8), 0..600),
+            page in 0u64..4,
+            tail in proptest::collection::vec((0usize..4, 0u64..1024, 0u8..2), 0..300),
+        ) {
+            let mut fast = tiny_with_cores(cores);
+            for op in warmup {
+                step(&mut fast, op);
+            }
+            let mut reference = fast.clone();
+            let page = PageNum::new(page);
+            let mut dirty_lines = Vec::new();
+            fast.flush_page_into(page, &mut dirty_lines);
+            prop_assert_eq!(&dirty_lines, &flush_page_by_scan(&mut reference, page));
+            prop_assert_eq!(snapshot_of(&fast), snapshot_of(&reference));
+            for (core, line, write) in tail {
+                let line = line_of(line);
+                let core = core % cores;
+                prop_assert_eq!(
+                    fast.access(core, line, write == 1),
+                    reference.access(core, line, write == 1)
+                );
+            }
+        }
     }
 }
