@@ -388,21 +388,24 @@ impl Runner {
         cfg
     }
 
+    /// Total data footprint of every suite workload at this scale.
+    fn workload_footprint(&self) -> u64 {
+        self.scale.dram_cache_capacity().as_bytes() * self.scale.footprint_factor()
+    }
+
     /// The workload object for a suite entry at this scale.
     pub fn workload(&self, kind: WorkloadKind) -> Workload {
-        let footprint = self.scale.dram_cache_capacity().as_bytes() * self.scale.footprint_factor();
-        Workload::new(kind, footprint, self.seed)
+        Workload::new(kind, self.workload_footprint(), self.seed)
     }
 
     /// The store key material for one cell: everything that affects its
     /// result (full simulation config, workload identity, footprint, seed).
     pub fn cell_key_material(&self, config: &SimConfig, kind: WorkloadKind) -> String {
-        let workload = self.workload(kind);
         format!(
             "banshee-cell-v1|workload={:?}|footprint={}|wseed={}|{}",
-            workload.kind,
-            workload.total_footprint_bytes,
-            workload.seed,
+            kind,
+            self.workload_footprint(),
+            self.seed,
             config.cache_key_material()
         )
     }
@@ -411,10 +414,11 @@ impl Runner {
     /// everything that shapes its trace stream, independent of the
     /// simulation configuration (keys the warmed-snapshot namespace).
     pub fn workload_ident(&self, kind: WorkloadKind) -> String {
-        let workload = self.workload(kind);
         format!(
             "{:?}|footprint={}|wseed={}",
-            workload.kind, workload.total_footprint_bytes, workload.seed
+            kind,
+            self.workload_footprint(),
+            self.seed
         )
     }
 

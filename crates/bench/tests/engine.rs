@@ -31,6 +31,7 @@ fn test_workloads() -> Vec<WorkloadKind> {
     vec![
         WorkloadKind::Spec(SpecProgram::Mcf),
         WorkloadKind::Graph(GraphKernel::PageRank),
+        WorkloadKind::Graph(GraphKernel::TriangleCount),
     ]
 }
 
@@ -60,8 +61,9 @@ fn parallel_matrix_matches_sequential_cell_for_cell() {
             );
         }
     }
-    assert_eq!(sequential.counters.simulated(), 6);
-    assert_eq!(parallel.counters.simulated(), 6);
+    let cells = designs.len() * workloads.len();
+    assert_eq!(sequential.counters.simulated(), cells);
+    assert_eq!(parallel.counters.simulated(), cells);
 }
 
 #[test]
@@ -75,7 +77,8 @@ fn store_resumes_a_completed_sweep() {
         .with_jobs(2)
         .with_store(&dir);
     let first = cold.run_matrix(&designs, &workloads);
-    assert_eq!(cold.counters.simulated(), 6);
+    let cells = designs.len() * workloads.len();
+    assert_eq!(cold.counters.simulated(), cells);
     assert_eq!(cold.counters.from_store(), 0);
 
     // Warm run (fresh runner, same store): every cell resumes from disk and
@@ -85,7 +88,7 @@ fn store_resumes_a_completed_sweep() {
         .with_store(&dir);
     let second = warm.run_matrix(&designs, &workloads);
     assert_eq!(warm.counters.simulated(), 0);
-    assert_eq!(warm.counters.from_store(), 6);
+    assert_eq!(warm.counters.from_store(), cells);
     for workload in first.workloads() {
         for design in first.designs() {
             assert_eq!(
@@ -149,14 +152,15 @@ fn observer_reports_every_cell() {
             .unwrap()
             .push((report.index, report.workload.clone(), report.from_store));
     });
-    assert_eq!(results.len(), 2);
+    assert_eq!(results.len(), 3);
     let mut reports = seen.into_inner().unwrap();
     reports.sort();
     assert_eq!(
         reports,
         vec![
             (0, "mcf".to_string(), false),
-            (1, "pagerank".to_string(), false)
+            (1, "pagerank".to_string(), false),
+            (2, "tri_count".to_string(), false)
         ]
     );
 }

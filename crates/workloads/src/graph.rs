@@ -15,11 +15,18 @@
 //! of these two behaviours (and a different store ratio), mirroring the real
 //! algorithms. All cores share one graph (the workloads are multi-threaded)
 //! and each core owns a contiguous vertex partition.
+//!
+//! The sharing holds across cells too: a graph depends only on its
+//! (footprint, degree, seed), never on the kernel or the design, so every
+//! live [`crate::Workload`] with equal inputs resolves the same
+//! [`GraphSlot`] through [`graph_slot`]. The first cell that needs the graph
+//! builds it; the others reuse it, and it is freed when its last holder
+//! drops it.
 
 use crate::trace::{MemoryAccess, TraceGenerator};
 use banshee_common::{Addr, XorShiftRng, ZipfSampler};
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 /// Bytes of per-vertex state (rank + next rank or label + visited flag).
 pub const VERTEX_BYTES: u64 = 16;
@@ -91,6 +98,42 @@ impl SyntheticGraph {
     pub fn footprint_bytes(&self) -> u64 {
         self.vertex_count() as u64 * VERTEX_BYTES + self.edge_count() as u64 * EDGE_BYTES
     }
+}
+
+/// One graph's lazily filled home: empty until the first `get_or_init`
+/// builds the graph.
+type GraphCell = OnceLock<Arc<SyntheticGraph>>;
+
+/// A shared handle on a [`GraphCell`].
+pub(crate) type GraphSlot = Arc<GraphCell>;
+
+/// `SyntheticGraph::build`'s inputs: (footprint bytes, degree, seed).
+type GraphKey = (u64, u64, u64);
+
+/// Every graph slot some holder still keeps alive, by key. The table holds
+/// weak references only, so it never keeps a graph alive by itself.
+static GRAPH_SLOTS: Mutex<Vec<(GraphKey, Weak<GraphCell>)>> = Mutex::new(Vec::new());
+
+/// The shared slot for the graph `SyntheticGraph::build(footprint_bytes,
+/// avg_degree, seed)` would return. Builds nothing: the holder fills the
+/// slot with `get_or_init`, so a graph is built once per key however many
+/// holders share it, different keys can build in parallel, and a holder
+/// that needs a graph another thread is building waits for it.
+pub(crate) fn graph_slot(footprint_bytes: u64, avg_degree: u64, seed: u64) -> GraphSlot {
+    let key = (footprint_bytes, avg_degree, seed);
+    // The table holds no invariant a panicking holder could break.
+    let mut slots = GRAPH_SLOTS.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(slot) = slots
+        .iter()
+        .find(|(k, _)| *k == key)
+        .and_then(|(_, weak)| weak.upgrade())
+    {
+        return slot;
+    }
+    slots.retain(|(_, weak)| weak.strong_count() > 0);
+    let slot = GraphSlot::default();
+    slots.push((key, Arc::downgrade(&slot)));
+    slot
 }
 
 /// Which graph kernel to emulate.

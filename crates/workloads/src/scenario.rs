@@ -329,10 +329,17 @@ impl ScenarioWorkloadSpec {
     /// Bind the spec to a concrete footprint and seed, yielding a
     /// [`TraceFactory`] the simulator can run.
     pub fn instantiate(&self, total_footprint_bytes: u64, seed: u64) -> ScenarioWorkloadInstance {
+        let builtin = match self {
+            ScenarioWorkloadSpec::Builtin { kind } => {
+                Some(Workload::new(*kind, total_footprint_bytes, seed))
+            }
+            _ => None,
+        };
         ScenarioWorkloadInstance {
             spec: self.clone(),
             total_footprint_bytes,
             seed,
+            builtin,
         }
     }
 }
@@ -345,6 +352,9 @@ pub struct ScenarioWorkloadInstance {
     spec: ScenarioWorkloadSpec,
     total_footprint_bytes: u64,
     seed: u64,
+    /// A `builtin` spec's workload, kept for the instance's lifetime so a
+    /// graph kernel's shared graph outlives each `build_traces` call.
+    builtin: Option<Workload>,
 }
 
 impl ScenarioWorkloadInstance {
@@ -370,9 +380,11 @@ impl TraceFactory for ScenarioWorkloadInstance {
         let region_stride: u64 = 1 << 40;
         let total = self.total_footprint_bytes;
         match &self.spec {
-            ScenarioWorkloadSpec::Builtin { kind } => {
-                Workload::new(*kind, total, self.seed).build_traces(cores)
-            }
+            ScenarioWorkloadSpec::Builtin { .. } => self
+                .builtin
+                .as_ref()
+                .expect("a builtin instance holds its workload")
+                .build_traces(cores),
             ScenarioWorkloadSpec::Synthetic { template } => {
                 // Per-core private copies, like the SPEC models, sharing one
                 // Zipf table.

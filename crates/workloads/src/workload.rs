@@ -1,7 +1,7 @@
 //! The workload catalogue: everything Figure 4 puts on its x-axis, plus a
 //! factory that builds per-core trace generators.
 
-use crate::graph::{GraphKernel, GraphKernelTrace, SyntheticGraph};
+use crate::graph::{graph_slot, GraphKernel, GraphKernelTrace, GraphSlot, SyntheticGraph};
 use crate::mix::SpecMix;
 use crate::spec::SpecProgram;
 use crate::synthetic::SyntheticTrace;
@@ -82,26 +82,65 @@ impl WorkloadKind {
     }
 }
 
+/// Average degree of every graph kernel's synthetic graph.
+const GRAPH_DEGREE: u64 = 16;
+
 /// A fully specified workload: what to run and how big its data is.
-#[derive(Debug, Clone)]
+///
+/// A graph kernel's workload holds its graph's shared slot: every live
+/// workload with the same footprint and seed walks one graph, built by the
+/// first [`Workload::build_traces`] that needs it.
+#[derive(Clone)]
 pub struct Workload {
-    /// Which benchmark(s) to run.
-    pub kind: WorkloadKind,
-    /// Total data footprint across the machine, in bytes. The interesting
-    /// regime is a footprint a few times larger than the DRAM cache.
-    pub total_footprint_bytes: u64,
-    /// RNG seed (traces are fully deterministic given the seed).
-    pub seed: u64,
+    kind: WorkloadKind,
+    total_footprint_bytes: u64,
+    seed: u64,
+    /// The shared graph (graph kernels only).
+    graph: Option<GraphSlot>,
+}
+
+impl std::fmt::Debug for Workload {
+    // The graph slot is left out: it would print millions of edges.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Workload")
+            .field("kind", &self.kind)
+            .field("total_footprint_bytes", &self.total_footprint_bytes)
+            .field("seed", &self.seed)
+            .finish()
+    }
 }
 
 impl Workload {
-    /// Create a workload description.
+    /// Create a workload description. `total_footprint_bytes` is the data
+    /// footprint across the machine (the interesting regime is a few times
+    /// the DRAM cache); traces are fully deterministic given `seed`.
+    /// Builds nothing.
     pub fn new(kind: WorkloadKind, total_footprint_bytes: u64, seed: u64) -> Self {
+        let graph = match kind {
+            WorkloadKind::Graph(_) => Some(graph_slot(total_footprint_bytes, GRAPH_DEGREE, seed)),
+            WorkloadKind::Spec(_) | WorkloadKind::Mix(_) => None,
+        };
         Workload {
             kind,
             total_footprint_bytes,
             seed,
+            graph,
         }
+    }
+
+    /// Which benchmark(s) to run.
+    pub fn kind(&self) -> WorkloadKind {
+        self.kind
+    }
+
+    /// Total data footprint across the machine, in bytes.
+    pub fn total_footprint_bytes(&self) -> u64 {
+        self.total_footprint_bytes
+    }
+
+    /// RNG seed of the traces.
+    pub fn seed(&self) -> u64 {
+        self.seed
     }
 
     /// The workload's display name.
@@ -111,7 +150,9 @@ impl Workload {
 
     /// Build one trace generator per core.
     ///
-    /// * Graph kernels share one graph; each core owns a vertex partition.
+    /// * Graph kernels share one graph (built here on first use, then
+    ///   shared with every workload of equal footprint and seed); each core
+    ///   owns a vertex partition.
     /// * Homogeneous SPEC workloads give every core a private copy (disjoint
     ///   virtual regions) of the same program, splitting the footprint
     ///   budget evenly.
@@ -123,15 +164,21 @@ impl Workload {
         let region_stride: u64 = 1 << 40;
         match self.kind {
             WorkloadKind::Graph(kernel) => {
-                let graph = Arc::new(SyntheticGraph::build(
-                    self.total_footprint_bytes,
-                    16,
-                    self.seed,
-                ));
+                let graph = self
+                    .graph
+                    .as_ref()
+                    .expect("a graph workload holds its graph slot")
+                    .get_or_init(|| {
+                        Arc::new(SyntheticGraph::build(
+                            self.total_footprint_bytes,
+                            GRAPH_DEGREE,
+                            self.seed,
+                        ))
+                    });
                 (0..cores)
                     .map(|core| {
                         Box::new(GraphKernelTrace::new(
-                            Arc::clone(&graph),
+                            Arc::clone(graph),
                             kernel,
                             0,
                             core,
@@ -234,6 +281,111 @@ mod tests {
         let traces = w.build_traces(16);
         let names: HashSet<_> = traces.iter().map(|t| t.name().to_string()).collect();
         assert_eq!(names.len(), 8, "Table 4 mixes have 8 distinct programs");
+    }
+
+    // The graph table is process-wide and tests run in parallel, so every
+    // graph test below uses its own (footprint, seed) key.
+
+    /// The graph `w` has built, if any.
+    fn built_graph(w: &Workload) -> Option<Arc<SyntheticGraph>> {
+        w.graph.as_ref().expect("a graph workload").get().cloned()
+    }
+
+    #[test]
+    fn graph_workload_builds_nothing_until_traced() {
+        let w = Workload::new(WorkloadKind::Graph(GraphKernel::Sgd), 1 << 20, 101);
+        assert!(built_graph(&w).is_none(), "Workload::new built the graph");
+        let _traces = w.build_traces(2);
+        assert!(built_graph(&w).is_some());
+    }
+
+    #[test]
+    fn graph_workloads_with_equal_inputs_share_one_graph() {
+        let kind = |k| WorkloadKind::Graph(k);
+        let pagerank = Workload::new(kind(GraphKernel::PageRank), 1 << 20, 102);
+        let tri_count = Workload::new(kind(GraphKernel::TriangleCount), 1 << 20, 102);
+        let other_seed = Workload::new(kind(GraphKernel::PageRank), 1 << 20, 103);
+        let other_footprint = Workload::new(kind(GraphKernel::PageRank), 2 << 20, 102);
+        for w in [&pagerank, &tri_count, &other_seed, &other_footprint] {
+            w.build_traces(1);
+        }
+        let graph = built_graph(&pagerank).unwrap();
+        assert!(Arc::ptr_eq(&graph, &built_graph(&tri_count).unwrap()));
+        assert!(!Arc::ptr_eq(&graph, &built_graph(&other_seed).unwrap()));
+        assert!(!Arc::ptr_eq(
+            &graph,
+            &built_graph(&other_footprint).unwrap()
+        ));
+    }
+
+    #[test]
+    fn graph_is_released_with_its_last_holder() {
+        let w = Workload::new(WorkloadKind::Graph(GraphKernel::Lsh), 1 << 20, 104);
+        let traces = w.build_traces(2);
+        let slot = Arc::downgrade(w.graph.as_ref().unwrap());
+        let graph = Arc::downgrade(&built_graph(&w).unwrap());
+        drop(w);
+        // The traces still walk the graph; the slot has no holder left.
+        assert!(slot.upgrade().is_none(), "the table kept the slot alive");
+        assert!(graph.upgrade().is_some());
+        drop(traces);
+        assert!(graph.upgrade().is_none(), "the graph outlived its holders");
+        let again = Workload::new(WorkloadKind::Graph(GraphKernel::Lsh), 1 << 20, 104);
+        assert!(built_graph(&again).is_none(), "a released graph was reused");
+        again.build_traces(1);
+        assert!(built_graph(&again).is_some());
+    }
+
+    #[test]
+    fn concurrent_builds_share_one_graph() {
+        let w = Workload::new(WorkloadKind::Graph(GraphKernel::Graph500), 1 << 20, 105);
+        let traces: Vec<_> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    let w = w.clone();
+                    s.spawn(move || w.build_traces(2))
+                })
+                .collect();
+            workers.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        // One reference from the slot, one from each of the four traces.
+        let graph = built_graph(&w).unwrap();
+        assert_eq!(Arc::strong_count(&graph), 1 + 1 + 4);
+        drop(traces);
+    }
+
+    #[test]
+    fn shared_graph_traces_match_a_fresh_build() {
+        let (footprint, seed, cores) = (1 << 20, 106, 4);
+        let fresh = Arc::new(SyntheticGraph::build(footprint, GRAPH_DEGREE, seed));
+        for kernel in GraphKernel::ALL {
+            let w = Workload::new(WorkloadKind::Graph(kernel), footprint, seed);
+            for (core, mut trace) in w.build_traces(cores).into_iter().enumerate() {
+                let mut expected = GraphKernelTrace::new(
+                    Arc::clone(&fresh),
+                    kernel,
+                    0,
+                    core,
+                    cores,
+                    seed.wrapping_add(core as u64),
+                );
+                for _ in 0..10_000 {
+                    assert_eq!(trace.next_access(), expected.next_access());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn debug_leaves_the_graph_out() {
+        let w = Workload::new(WorkloadKind::Graph(GraphKernel::PageRank), 1 << 20, 107);
+        w.build_traces(1);
+        let debug = format!("{w:?}");
+        assert!(debug.len() < 120, "{debug}");
+        assert!(
+            debug.contains("PageRank") && debug.contains("107"),
+            "{debug}"
+        );
     }
 
     #[test]
