@@ -89,20 +89,10 @@ impl CyclesPerSec {
         (self.0 * us / 1e6).round() as u64
     }
 
-    /// Number of cycles (rounded) in `ns` nanoseconds at this frequency.
-    pub fn cycles_in_ns(self, ns: f64) -> u64 {
-        (self.0 * ns / 1e9).round() as u64
-    }
-
     /// Convert a cycle count at frequency `other` into a cycle count at this
     /// frequency (e.g. DRAM bus cycles → CPU cycles).
     pub fn convert_cycles_from(self, cycles: u64, other: CyclesPerSec) -> u64 {
         ((cycles as f64) * self.0 / other.0).round() as u64
-    }
-
-    /// Seconds represented by `cycles` at this frequency.
-    pub fn cycles_to_secs(self, cycles: u64) -> f64 {
-        cycles as f64 / self.0
     }
 }
 
@@ -135,7 +125,6 @@ mod tests {
         assert_eq!(cpu.cycles_in_us(20.0), 54_000);
         assert_eq!(cpu.cycles_in_us(4.0), 10_800);
         assert_eq!(cpu.cycles_in_us(1.0), 2_700);
-        assert_eq!(cpu.cycles_in_ns(100.0), 270);
     }
 
     #[test]
@@ -145,12 +134,5 @@ mod tests {
         // 10 DRAM bus cycles (tCAS) ≈ 40.5 CPU cycles.
         let cpu_cycles = cpu.convert_cycles_from(10, dram_bus);
         assert!((39..=42).contains(&cpu_cycles), "got {cpu_cycles}");
-    }
-
-    #[test]
-    fn cycles_to_secs_round_trip() {
-        let cpu = CyclesPerSec::ghz(2.7);
-        let s = cpu.cycles_to_secs(2_700_000_000);
-        assert!((s - 1.0).abs() < 1e-9);
     }
 }

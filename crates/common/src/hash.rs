@@ -12,7 +12,10 @@
 //! The same 64-bit FNV-1a is used by `banshee_exec`'s result store to derive
 //! entry file names from key material ([`fnv1a64`]).
 
-// tidy: allow(std-hash): definition site — these are re-exported below with the deterministic FNV hasher plugged in
+#[allow(
+    clippy::disallowed_types,
+    reason = "definition site: the aliases below plug in the deterministic FNV hasher"
+)]
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -66,9 +69,17 @@ impl Hasher for FnvHasher {
 }
 
 /// A `HashMap` keyed by the deterministic FNV-1a hasher.
+#[allow(
+    clippy::disallowed_types,
+    reason = "the deterministic replacement itself"
+)]
 pub type FnvHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FnvHasher>>;
 
 /// A `HashSet` keyed by the deterministic FNV-1a hasher.
+#[allow(
+    clippy::disallowed_types,
+    reason = "the deterministic replacement itself"
+)]
 pub type FnvHashSet<T> = HashSet<T, BuildHasherDefault<FnvHasher>>;
 
 #[cfg(test)]

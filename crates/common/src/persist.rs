@@ -769,4 +769,25 @@ mod tests {
         assert_eq!(Vec::<u64>::restore(&mut r).unwrap(), vec![1, 2, 3]);
         assert!(r.is_exhausted());
     }
+
+    #[test]
+    fn snapshot_format_documents_the_current_format() {
+        // A format bump must say what changed in the encoding: the doc
+        // comment directly above the constant needs a `Format N:` entry.
+        let entry = format!("Format {SNAPSHOT_FORMAT}:");
+        let source: Vec<&str> = include_str!("persist.rs").lines().map(str::trim).collect();
+        let at = source
+            .iter()
+            .position(|line| line.starts_with("pub const SNAPSHOT_FORMAT: u32"))
+            .expect("SNAPSHOT_FORMAT is declared");
+        let documented = source[..at]
+            .iter()
+            .rev()
+            .map_while(|line| line.strip_prefix("///"))
+            .any(|doc| doc.trim().starts_with(&entry));
+        assert!(
+            documented,
+            "SNAPSHOT_FORMAT is {SNAPSHOT_FORMAT} but the doc comment above it has no `{entry}` entry"
+        );
+    }
 }

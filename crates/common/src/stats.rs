@@ -515,7 +515,7 @@ mod tests {
 
     #[test]
     fn class_labels_unique() {
-        let labels: std::collections::HashSet<_> =
+        let labels: std::collections::BTreeSet<_> =
             TrafficClass::ALL.iter().map(|c| c.label()).collect();
         assert_eq!(labels.len(), TrafficClass::ALL.len());
     }

@@ -422,7 +422,10 @@ impl Recorder {
     }
 
     /// Consume the recorder into an exportable report.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one argument per report field the recorder does not hold"
+    )]
     pub fn into_report(
         self,
         design: &str,

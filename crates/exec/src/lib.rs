@@ -26,4 +26,4 @@ pub mod pool;
 pub mod store;
 
 pub use pool::{Completion, JobOutput, JobPanic, JobPool};
-pub use store::{fnv1a64, ResultStore, STORE_FORMAT};
+pub use store::{ResultStore, STORE_FORMAT};

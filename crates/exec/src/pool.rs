@@ -133,6 +133,10 @@ impl JobPool {
                     if index >= total {
                         break;
                     }
+                    #[allow(
+                        clippy::disallowed_methods,
+                        reason = "per-job wall time for the run summary; never reaches a SimResult"
+                    )]
                     let start = Instant::now();
                     let outcome = catch_unwind(AssertUnwindSafe(|| f(index, &inputs[index])));
                     let duration = start.elapsed();

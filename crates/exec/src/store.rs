@@ -12,6 +12,7 @@
 //! sweep killed mid-write leaves no corrupt entry behind and the next run
 //! resumes from every cell that completed.
 
+use banshee_common::hash::fnv1a64;
 use banshee_common::SnapshotHeader;
 use serde::Value;
 use std::io;
@@ -20,11 +21,6 @@ use std::path::{Path, PathBuf};
 /// Version stamp embedded in every entry; bump to invalidate old stores
 /// wholesale when the entry layout changes.
 pub const STORE_FORMAT: u64 = 1;
-
-/// 64-bit FNV-1a hash, used to derive entry file names from key material
-/// (the workspace-wide implementation, shared with `banshee_common`'s
-/// hot-path hash maps; re-exported here for backwards compatibility).
-pub use banshee_common::hash::fnv1a64;
 
 /// A directory of cached results, one JSON entry per key.
 #[derive(Debug, Clone)]

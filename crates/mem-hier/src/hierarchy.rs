@@ -600,7 +600,7 @@ mod tests {
     /// Strict inclusion: every valid L1/L2 line is in the LLC, and its
     /// core's bit is set in that way's presence mask.
     fn check_strict_inclusion(h: &CacheHierarchy) -> Result<(), String> {
-        let llc_slot: std::collections::HashMap<LineAddr, usize> = h
+        let llc_slot: std::collections::BTreeMap<LineAddr, usize> = h
             .llc
             .resident_lines()
             .map(|(slot, line)| (line, slot))

@@ -886,6 +886,30 @@ mod tests {
     }
 
     #[test]
+    fn warmed_image_section_labels_are_unique() {
+        // A reader accepts a section by its label tag, so two sections under
+        // one label would let a framing mismatch go undetected. Walk the
+        // top-level framing (8-byte tag + u32 length per section) of a real
+        // image and require one distinct tag per subsystem.
+        let w = workload();
+        let mut sys = System::new(SimConfig::test_default(DramCacheDesign::Banshee), &w);
+        let warmed = sys.warm_up().unwrap();
+        let image = sys.warmed_image(&w.name(), warmed);
+        let mut tags = Vec::new();
+        let mut pos = SnapshotHeader::ENCODED_LEN;
+        while pos < image.len() {
+            let tag = u64::from_le_bytes(image[pos..pos + 8].try_into().unwrap());
+            let len = u32::from_le_bytes(image[pos + 8..pos + 12].try_into().unwrap());
+            tags.push(tag);
+            pos += 12 + len as usize;
+        }
+        assert_eq!(pos, image.len(), "sections must tile the image exactly");
+        assert_eq!(tags.len(), 6);
+        let distinct: std::collections::BTreeSet<_> = tags.iter().collect();
+        assert_eq!(distinct.len(), tags.len(), "duplicate section label");
+    }
+
+    #[test]
     fn warmed_image_is_shared_across_measurement_budgets() {
         // total_instructions is the only post-warm-up knob: an image captured
         // under one budget must resume — and reproduce the cold result —

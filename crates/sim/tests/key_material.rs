@@ -70,3 +70,54 @@ fn fixture_revision_matches_compiled_revision() {
         SimConfig::MODEL_REVISION
     );
 }
+
+/// The revision-history doc comment above `MODEL_REVISION` has an `N.`
+/// entry for the compiled revision, so a bump always says what changed.
+#[test]
+fn model_revision_history_documents_the_compiled_revision() {
+    let entry = format!("{}.", SimConfig::MODEL_REVISION);
+    let source: Vec<&str> = include_str!("../src/config.rs")
+        .lines()
+        .map(str::trim)
+        .collect();
+    let at = source
+        .iter()
+        .position(|line| line.starts_with("pub const MODEL_REVISION: u32"))
+        .expect("MODEL_REVISION is declared");
+    let documented = source[..at]
+        .iter()
+        .rev()
+        .map_while(|line| line.strip_prefix("///"))
+        .any(|doc| doc.trim().starts_with(&entry));
+    assert!(
+        documented,
+        "MODEL_REVISION is {} but the doc comment above it has no `{entry}` \
+         history entry — document what behaviour changed in this revision",
+        SimConfig::MODEL_REVISION
+    );
+}
+
+/// The CI `model-revision-guard` job, which rejects a fixture change that
+/// comes without a `MODEL_REVISION` change, still watches the constant and
+/// both governed fixtures.
+#[test]
+fn ci_guard_watches_model_revision_and_both_fixtures() {
+    let workflow = include_str!("../../../.github/workflows/ci.yml");
+    let job: Vec<&str> = workflow
+        .lines()
+        .skip_while(|line| *line != "  model-revision-guard:")
+        .skip(1)
+        .take_while(|line| line.is_empty() || line.starts_with("    "))
+        .collect();
+    let job = job.join("\n");
+    for needed in [
+        "MODEL_REVISION",
+        "crates/sim/tests/fixtures/cache_key_material.txt",
+        "crates/bench/tests/fixtures/golden_quick.json",
+    ] {
+        assert!(
+            job.contains(needed),
+            "the CI model-revision-guard job no longer references `{needed}`"
+        );
+    }
+}

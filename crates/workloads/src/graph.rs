@@ -138,7 +138,7 @@ pub(crate) fn graph_slot(footprint_bytes: u64, avg_degree: u64, seed: u64) -> Gr
 
 /// Which graph kernel to emulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
+#[allow(missing_docs, reason = "variants are the kernel names")]
 pub enum GraphKernel {
     PageRank,
     TriangleCount,
@@ -336,7 +336,7 @@ impl TraceGenerator for GraphKernelTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     fn small_graph() -> Arc<SyntheticGraph> {
         Arc::new(SyntheticGraph::build(1 << 20, 8, 7))
@@ -369,7 +369,7 @@ mod tests {
         // Power-law targets: the most popular 1% of vertices should attract
         // far more than 1% of the edges.
         let g = SyntheticGraph::build(2 << 20, 16, 5);
-        let mut indeg: HashMap<u32, u64> = HashMap::new();
+        let mut indeg: BTreeMap<u32, u64> = BTreeMap::new();
         for u in 0..g.vertex_count() {
             for &v in g.neighbours(u) {
                 *indeg.entry(v).or_insert(0) += 1;

@@ -185,7 +185,7 @@ impl TraceGenerator for KeyValueTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     fn params(footprint: u64) -> KeyValueParams {
         KeyValueParams::base("kv", footprint)
@@ -220,7 +220,7 @@ mod tests {
         let mut uniform = hot.clone();
         uniform.zipf_exponent = 0.0;
         let distinct = |mut t: KeyValueTrace| {
-            let mut pages = HashSet::new();
+            let mut pages = BTreeSet::new();
             for _ in 0..30_000 {
                 pages.insert(t.next_access().vaddr.page());
             }

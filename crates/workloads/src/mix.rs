@@ -8,7 +8,7 @@ use crate::spec::SpecProgram;
 
 /// Which mix from Table 4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
+#[allow(missing_docs, reason = "variants are the Table 4 mix names")]
 pub enum SpecMix {
     Mix1,
     Mix2,

@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 
 /// The SPEC CPU2006 programs used by the paper (alone or in mixes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[allow(missing_docs)]
+#[allow(missing_docs, reason = "variants are the SPEC program names")]
 pub enum SpecProgram {
     Bwaves,
     Lbm,
@@ -236,7 +236,7 @@ impl SpecProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn every_program_has_distinct_name() {
@@ -254,7 +254,7 @@ mod tests {
             SpecProgram::Leslie,
             SpecProgram::Cactus,
         ];
-        let names: HashSet<_> = all.iter().map(|p| p.name()).collect();
+        let names: BTreeSet<_> = all.iter().map(|p| p.name()).collect();
         assert_eq!(names.len(), all.len());
     }
 

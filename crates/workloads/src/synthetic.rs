@@ -194,7 +194,7 @@ impl TraceGenerator for SyntheticTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     fn params(footprint: u64) -> SyntheticParams {
         SyntheticParams::base("test", footprint)
@@ -242,7 +242,7 @@ mod tests {
         uniform.name = "uniform".to_string();
 
         let distinct_pages = |mut t: SyntheticTrace| -> usize {
-            let mut pages = HashSet::new();
+            let mut pages = BTreeSet::new();
             for _ in 0..20_000 {
                 pages.insert(t.next_access().vaddr.page());
             }

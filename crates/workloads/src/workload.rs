@@ -237,13 +237,13 @@ impl TraceFactory for Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn figure4_suite_has_sixteen_workloads() {
         let suite = WorkloadKind::figure4_suite();
         assert_eq!(suite.len(), 16);
-        let names: HashSet<_> = suite.iter().map(|w| w.name()).collect();
+        let names: BTreeSet<_> = suite.iter().map(|w| w.name()).collect();
         assert_eq!(names.len(), 16);
         assert_eq!(suite[0].name(), "pagerank");
         assert_eq!(suite[15].name(), "mix3");
@@ -268,7 +268,7 @@ mod tests {
         let w = Workload::new(WorkloadKind::Spec(SpecProgram::Mcf), 16 << 20, 2);
         let mut traces = w.build_traces(4);
         // Core regions are separated by the region stride.
-        let mut bases = HashSet::new();
+        let mut bases = BTreeSet::new();
         for t in traces.iter_mut() {
             bases.insert(t.next_access().vaddr.raw() >> 40);
         }
@@ -279,7 +279,7 @@ mod tests {
     fn mix_assigns_different_programs_to_cores() {
         let w = Workload::new(WorkloadKind::Mix(SpecMix::Mix1), 32 << 20, 3);
         let traces = w.build_traces(16);
-        let names: HashSet<_> = traces.iter().map(|t| t.name().to_string()).collect();
+        let names: BTreeSet<_> = traces.iter().map(|t| t.name().to_string()).collect();
         assert_eq!(names.len(), 8, "Table 4 mixes have 8 distinct programs");
     }
 
