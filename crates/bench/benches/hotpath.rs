@@ -1,7 +1,6 @@
 //! End-to-end simulator throughput (instructions per second) per design.
 //!
-//! Unlike `components.rs` (microbenchmarks of individual structures), this
-//! bench drives the *whole* per-access path — trace generation, TLB/page
+//! This bench drives the *whole* per-access path — trace generation, TLB/page
 //! table, SRAM hierarchy, DRAM-cache controller and DRAM timing — exactly as
 //! an experiment cell does, and reports how many simulated instructions the
 //! host executes per wall-clock second. That number is the scaling limit of

@@ -12,8 +12,9 @@
 use crate::runner::{PreparedCell, Runner};
 use crate::table::{fmt2, fmt_pct, write_json, Table};
 use banshee_dcache::DramCacheDesign;
-use banshee_sim::SimResult;
-use banshee_workloads::{ScenarioSpec, ScenarioWorkloadEntry};
+use banshee_dram::PagePolicy;
+use banshee_sim::{SimConfig, SimResult};
+use banshee_workloads::{DramPagePolicyOverride, ScenarioSpec, ScenarioWorkloadEntry};
 use serde::Serialize;
 use std::sync::Arc;
 
@@ -106,21 +107,38 @@ fn entry_footprint(entry: &ScenarioWorkloadEntry, cache_capacity_bytes: u64, fac
         .unwrap_or(((cache_capacity_bytes as f64 * factor) as u64).max(4 * 4096))
 }
 
-/// Expand the full matrix (workloads × designs × factors × seeds) into
-/// prepared cells with scenario-aware store keys.
+/// The `page_policies` axis: both DRAM devices get the swept row-buffer
+/// policy.
+fn apply_page_policy(config: &mut SimConfig, policy: DramPagePolicyOverride) {
+    let policy = match policy {
+        DramPagePolicyOverride::Open => PagePolicy::Open,
+        DramPagePolicyOverride::Closed => PagePolicy::Closed,
+    };
+    config.in_dram.page_policy = policy;
+    config.off_dram.page_policy = policy;
+}
+
+/// The `write_queue_depths` axis: both DRAM devices get the swept
+/// write-queue depth, with watermarks rescaled to it.
+fn apply_write_queue_depth(config: &mut SimConfig, depth: usize) {
+    config.in_dram.set_write_queue_depth(depth);
+    config.off_dram.set_write_queue_depth(depth);
+}
+
+/// Expand the full matrix (workloads × designs × factors × seeds × DRAM
+/// axes) into prepared cells with scenario-aware store keys.
 pub fn expand_cells(
     runner: &Runner,
     spec: &ScenarioSpec,
 ) -> Result<Vec<(CellCoords, PreparedCell)>, String> {
     let designs = resolve_designs(spec)?;
     // The DRAM axes are optional: an empty list means "one cell with the
-    // config's value" (represented as None).
-    let page_policies: Vec<Option<banshee_workloads::DramPagePolicyOverride>> =
-        if spec.sweep.page_policies.is_empty() {
-            vec![None]
-        } else {
-            spec.sweep.page_policies.iter().map(|&p| Some(p)).collect()
-        };
+    // paper's DRAM settings" (represented as None).
+    let page_policies: Vec<Option<_>> = if spec.sweep.page_policies.is_empty() {
+        vec![None]
+    } else {
+        spec.sweep.page_policies.iter().map(|&p| Some(p)).collect()
+    };
     let wq_depths: Vec<Option<usize>> = if spec.sweep.write_queue_depths.is_empty() {
         vec![None]
     } else {
@@ -137,15 +155,14 @@ pub fn expand_cells(
                 for &seed in &spec.sweep.seeds {
                     for &policy in &page_policies {
                         for &depth in &wq_depths {
-                            let mut overrides = spec.overrides.clone();
-                            if policy.is_some() {
-                                overrides.dram_page_policy = policy;
-                            }
-                            if depth.is_some() {
-                                overrides.dram_write_queue_depth = depth;
-                            }
                             let mut config = runner.config(*design);
-                            config.apply_scenario_overrides(&overrides);
+                            config.apply_scenario_overrides(&spec.overrides);
+                            if let Some(policy) = policy {
+                                apply_page_policy(&mut config, policy);
+                            }
+                            if let Some(depth) = depth {
+                                apply_write_queue_depth(&mut config, depth);
+                            }
                             config.seed = seed;
                             let footprint =
                                 entry_footprint(entry, config.dcache.capacity.as_bytes(), factor);
@@ -364,6 +381,60 @@ mod tests {
         let cells = expand_cells(&runner, &spec).unwrap();
         assert_eq!(cells[0].1.config.cores, 2);
         assert_eq!(cells[0].1.config.total_instructions, 50_000);
+    }
+
+    #[test]
+    fn dram_axes_reach_both_devices() {
+        use banshee_dram::{DramConfig, DramTiming};
+        let spec = ScenarioSpec::from_file(
+            PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+                .join("../../examples/scenarios/dram_scheduler_sweep.json"),
+        )
+        .expect("shipped scenario parses");
+        let runner = Runner::new(ExperimentScale::Quick);
+        let cells = expand_cells(&runner, &spec).unwrap();
+        assert_eq!(cells.len(), spec.cells_per_design() * spec.designs.len());
+        // Each swept DRAM setting keys its cell apart in the result store.
+        let mut keys: Vec<&str> = cells.iter().map(|(_, p)| p.key_material.as_str()).collect();
+        keys.sort();
+        keys.dedup();
+        assert_eq!(keys.len(), cells.len());
+        let paper = DramConfig::in_package_default();
+        for (coords, cell) in &cells {
+            let policy = match coords.page_policy.as_deref() {
+                Some("open") => PagePolicy::Open,
+                Some("closed") => PagePolicy::Closed,
+                other => panic!("unexpected page policy {other:?}"),
+            };
+            let (depth, high, low) = match coords.write_queue_depth {
+                Some(0) => (0, 0, 0),
+                Some(32) => (32, 24, 8),
+                other => panic!("unexpected write-queue depth {other:?}"),
+            };
+            for dram in [&cell.config.in_dram, &cell.config.off_dram] {
+                assert_eq!(dram.page_policy, policy);
+                assert_eq!(
+                    (
+                        dram.write_queue_depth,
+                        dram.write_high_watermark,
+                        dram.write_low_watermark
+                    ),
+                    (depth, high, low)
+                );
+                assert_eq!(dram.scheduler, paper.scheduler);
+                assert_eq!(dram.read_queue_depth, paper.read_queue_depth);
+                assert_eq!(dram.timing.t_refi, DramTiming::paper_default().t_refi);
+            }
+        }
+        // Shallow buffered queues keep low < high <= depth.
+        for depth in 1..=3 {
+            let mut config = runner.config(DramCacheDesign::Banshee);
+            apply_write_queue_depth(&mut config, depth);
+            for dram in [&config.in_dram, &config.off_dram] {
+                assert!(dram.write_low_watermark < dram.write_high_watermark);
+                assert!(dram.write_high_watermark <= depth);
+            }
+        }
     }
 
     #[test]

@@ -17,8 +17,8 @@ use banshee_workloads::{TraceFactory, Workload, WorkloadKind};
 use serde::Serialize;
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// How big an experiment run should be.
@@ -185,86 +185,86 @@ pub struct PreparedCell {
 }
 
 /// Tallies of how a runner's cells were satisfied, shared across clones
-/// (the `experiments` binary reports them in `run_summary.json`).
+/// (the `experiments` binary reports them in `run_summary.json`). Every
+/// tally is derived from the per-cell records.
 #[derive(Debug, Clone, Default)]
 pub struct RunnerCounters {
-    simulated: Arc<AtomicUsize>,
-    from_store: Arc<AtomicUsize>,
-    resumed_warm: Arc<AtomicUsize>,
-    simulated_micros: Arc<AtomicU64>,
-    sim_only_micros: Arc<AtomicU64>,
     cells: Arc<Mutex<Vec<CellRecord>>>,
 }
 
 impl RunnerCounters {
     /// Cells computed by running a simulation.
     pub fn simulated(&self) -> usize {
-        self.simulated.load(Ordering::Relaxed)
+        self.count(|c| !c.from_store)
     }
 
     /// Cells satisfied from the persistent result store.
     pub fn from_store(&self) -> usize {
-        self.from_store.load(Ordering::Relaxed)
+        self.count(|c| c.from_store)
     }
 
     /// Simulated cells that resumed from a warmed-state snapshot (skipping
     /// warm-up). The remainder — [`RunnerCounters::cold`] — ran warm-up
     /// from scratch.
     pub fn resumed_warm(&self) -> usize {
-        self.resumed_warm.load(Ordering::Relaxed)
+        self.count(|c| c.resumed_warm)
     }
 
     /// Simulated cells that ran warm-up cold (no usable warmed image).
     pub fn cold(&self) -> usize {
-        self.simulated().saturating_sub(self.resumed_warm())
+        self.count(|c| !c.from_store && !c.resumed_warm)
     }
 
     /// Total wall-clock time spent inside simulations, summed over cells
     /// (under parallel execution this exceeds elapsed time). Includes
     /// snapshot get/resume/put I/O; see [`RunnerCounters::sim_only_time`].
     pub fn simulated_time(&self) -> Duration {
-        Duration::from_micros(self.simulated_micros.load(Ordering::Relaxed))
+        self.total_seconds(|c| c.seconds)
     }
 
     /// Total wall-clock time spent purely simulating, summed over cells
     /// (snapshot I/O excluded; see [`CellReport::sim_duration`]).
     pub fn sim_only_time(&self) -> Duration {
-        Duration::from_micros(self.sim_only_micros.load(Ordering::Relaxed))
+        self.total_seconds(|c| c.sim_seconds)
     }
 
     /// Per-cell wall-clock records, in completion order (store hits first).
     /// Panicked cells are not recorded.
     pub fn cell_records(&self) -> Vec<CellRecord> {
-        self.cells.lock().map(|c| c.clone()).unwrap_or_default()
+        self.records().clone()
+    }
+
+    fn records(&self) -> MutexGuard<'_, Vec<CellRecord>> {
+        self.cells
+            .lock()
+            .expect("nothing panics while holding the cell records")
+    }
+
+    fn count(&self, pred: impl Fn(&CellRecord) -> bool) -> usize {
+        self.records().iter().filter(|c| pred(c)).count()
+    }
+
+    /// Store hits record zero seconds, so summing every record sums the
+    /// simulated cells.
+    fn total_seconds(&self, seconds: impl Fn(&CellRecord) -> f64) -> Duration {
+        Duration::from_secs_f64(self.records().iter().map(seconds).sum())
     }
 
     fn record(&self, report: &CellReport) {
-        if report.from_store {
-            self.from_store.fetch_add(1, Ordering::Relaxed);
-        } else if !report.panicked {
-            self.simulated.fetch_add(1, Ordering::Relaxed);
-            if report.resumed_warm {
-                self.resumed_warm.fetch_add(1, Ordering::Relaxed);
-            }
-            self.simulated_micros
-                .fetch_add(report.duration.as_micros() as u64, Ordering::Relaxed);
-            self.sim_only_micros
-                .fetch_add(report.sim_duration.as_micros() as u64, Ordering::Relaxed);
+        if report.panicked {
+            return;
         }
-        if !report.panicked {
-            if let Ok(mut cells) = self.cells.lock() {
-                cells.push(CellRecord {
-                    workload: report.workload.clone(),
-                    design: report.design.clone(),
-                    from_store: report.from_store,
-                    resumed_warm: report.resumed_warm,
-                    seconds: report.duration.as_secs_f64(),
-                    sim_seconds: report.sim_duration.as_secs_f64(),
-                    instructions: report.instructions,
-                    instr_per_sec: report.instr_per_sec(),
-                });
-            }
-        }
+        let record = CellRecord {
+            workload: report.workload.clone(),
+            design: report.design.clone(),
+            from_store: report.from_store,
+            resumed_warm: report.resumed_warm,
+            seconds: report.duration.as_secs_f64(),
+            sim_seconds: report.sim_duration.as_secs_f64(),
+            instructions: report.instructions,
+            instr_per_sec: report.instr_per_sec(),
+        };
+        self.records().push(record);
     }
 }
 

@@ -37,8 +37,9 @@ impl DramTiming {
         }
     }
 
-    /// The paper's timing with refresh disabled (pre-refresh model, and the
-    /// knob scenario files use to isolate refresh effects).
+    /// The paper's timing with refresh disabled (the pre-refresh model the
+    /// timing-pinning tests use).
+    #[cfg(test)]
     pub const fn no_refresh() -> Self {
         DramTiming {
             t_refi: 0,
@@ -150,6 +151,17 @@ impl DramConfig {
             capacity: MemSize::gib(1),
             ..Self::off_package_default()
         }
+    }
+
+    /// Resize the per-channel write queue and keep the default watermark
+    /// shape: a drain starts at ¾ of the depth (clamped to [1, depth]) and
+    /// stops at ¼ of it, below the start. A depth of 0 services writes
+    /// immediately and zeroes both watermarks.
+    pub fn set_write_queue_depth(&mut self, depth: usize) {
+        let high = (depth * 3 / 4).max(1).min(depth);
+        self.write_queue_depth = depth;
+        self.write_high_watermark = high;
+        self.write_low_watermark = (depth / 4).min(high.saturating_sub(1));
     }
 
     /// Peak bandwidth in bytes per second (DDR: two beats per bus clock).

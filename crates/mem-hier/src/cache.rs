@@ -2,8 +2,7 @@
 //!
 //! The model tracks presence and dirtiness of cache lines, not their data.
 //! Only [`crate::CacheHierarchy`] builds it, for the SRAM levels (L1D, L2,
-//! LLC), and one row of the bench crate's `components` benchmark times it
-//! directly. The DRAM-cache designs keep their own tag structures.
+//! LLC). The DRAM-cache designs keep their own tag structures.
 //!
 //! These lookups run on **every** simulated access (L1 + L2 + LLC), so the
 //! layout is optimized for the simulator's hot path:

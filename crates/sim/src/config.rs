@@ -215,72 +215,11 @@ impl SimConfig {
         if let Some(v) = o.warmup_instructions {
             self.warmup_instructions = v;
         }
-        if let Some(v) = o.epoch_instructions {
-            self.epoch_instructions = v;
-        }
         if let Some(v) = o.mlp_per_core {
             self.mlp_per_core = v;
         }
-        if let Some(v) = o.tlb_entries {
-            self.tlb_entries = v;
-        }
-        if let Some(v) = o.issue_width {
-            self.issue_width = v;
-        }
         if let Some(v) = o.bandwidth_ratio {
             *self = self.clone().with_dram_cache_bandwidth_ratio(v);
-        }
-        if let Some(v) = o.latency_scale {
-            *self = self.clone().with_dram_cache_latency_scale(v);
-        }
-        if let Some(v) = o.large_pages {
-            self.large_pages = v;
-        }
-        if let Some(v) = o.use_batman {
-            self.use_batman = v;
-        }
-        if let Some(v) = o.dram_scheduler {
-            let kind = match v {
-                banshee_workloads::DramSchedulerOverride::Fcfs => banshee_dram::SchedulerKind::Fcfs,
-                banshee_workloads::DramSchedulerOverride::FrFcfs => {
-                    banshee_dram::SchedulerKind::FrFcfs
-                }
-            };
-            self.in_dram.scheduler = kind;
-            self.off_dram.scheduler = kind;
-        }
-        if let Some(v) = o.dram_page_policy {
-            let policy = match v {
-                banshee_workloads::DramPagePolicyOverride::Open => banshee_dram::PagePolicy::Open,
-                banshee_workloads::DramPagePolicyOverride::Closed => {
-                    banshee_dram::PagePolicy::Closed
-                }
-            };
-            self.in_dram.page_policy = policy;
-            self.off_dram.page_policy = policy;
-        }
-        if let Some(depth) = o.dram_write_queue_depth {
-            for dram in [&mut self.in_dram, &mut self.off_dram] {
-                dram.write_queue_depth = depth;
-                // Keep the default 3/4 – 1/4 watermark shape (a depth of 0
-                // means writes are serviced immediately; watermarks unused).
-                let high = (depth * 3 / 4).max(1).min(depth);
-                dram.write_high_watermark = high;
-                dram.write_low_watermark = (depth / 4).min(high.saturating_sub(1));
-            }
-        }
-        if let Some(depth) = o.dram_read_queue_depth {
-            self.in_dram.read_queue_depth = depth;
-            self.off_dram.read_queue_depth = depth;
-        }
-        if let Some(enabled) = o.dram_refresh {
-            for dram in [&mut self.in_dram, &mut self.off_dram] {
-                dram.timing.t_refi = if enabled {
-                    banshee_dram::DramTiming::paper_default().t_refi
-                } else {
-                    0
-                };
-            }
         }
     }
 
@@ -380,71 +319,21 @@ mod tests {
             cores: Some(8),
             dram_cache_mib: Some(16),
             total_instructions: Some(123_000),
+            warmup_instructions: Some(45_000),
+            mlp_per_core: Some(4),
             bandwidth_ratio: Some(8),
-            large_pages: Some(true),
-            ..ScenarioOverrides::default()
         };
         cfg.apply_scenario_overrides(&overrides);
         assert_eq!(cfg.cores, 8);
         assert_eq!(cfg.dcache.capacity, MemSize::mib(16));
         assert_eq!(cfg.in_dram.capacity, MemSize::mib(16));
         assert_eq!(cfg.total_instructions, 123_000);
+        assert_eq!(cfg.warmup_instructions, 45_000);
+        assert_eq!(cfg.mlp_per_core, 4);
         assert_eq!(cfg.in_dram.channels, 8);
-        assert!(cfg.large_pages);
         // Overridden cells must never collide with default ones in the
         // result store.
         assert_ne!(cfg.cache_key_material(), base.cache_key_material());
-    }
-
-    #[test]
-    fn dram_scenario_overrides_reach_both_devices() {
-        use banshee_dram::{PagePolicy, SchedulerKind};
-        use banshee_workloads::{DramPagePolicyOverride, DramSchedulerOverride, ScenarioOverrides};
-        let base = SimConfig::test_default(DramCacheDesign::Banshee);
-        let mut cfg = base.clone();
-        cfg.apply_scenario_overrides(&ScenarioOverrides {
-            dram_scheduler: Some(DramSchedulerOverride::Fcfs),
-            dram_page_policy: Some(DramPagePolicyOverride::Closed),
-            dram_write_queue_depth: Some(8),
-            dram_read_queue_depth: Some(2),
-            dram_refresh: Some(false),
-            ..ScenarioOverrides::default()
-        });
-        for dram in [&cfg.in_dram, &cfg.off_dram] {
-            assert_eq!(dram.scheduler, SchedulerKind::Fcfs);
-            assert_eq!(dram.page_policy, PagePolicy::Closed);
-            assert_eq!(dram.write_queue_depth, 8);
-            assert_eq!(dram.write_high_watermark, 6);
-            assert_eq!(dram.write_low_watermark, 2);
-            assert_eq!(dram.read_queue_depth, 2);
-            assert_eq!(dram.timing.t_refi, 0);
-        }
-        // Every DRAM knob re-keys the result store.
-        assert_ne!(cfg.cache_key_material(), base.cache_key_material());
-
-        // Degenerate depths keep the watermark invariant (low < high <= depth
-        // for buffered queues).
-        for depth in [0usize, 1, 2, 3] {
-            let mut c = base.clone();
-            c.apply_scenario_overrides(&ScenarioOverrides {
-                dram_write_queue_depth: Some(depth),
-                ..ScenarioOverrides::default()
-            });
-            if depth > 0 {
-                assert!(c.in_dram.write_low_watermark < c.in_dram.write_high_watermark);
-                assert!(c.in_dram.write_high_watermark <= depth);
-            }
-        }
-        // Refresh can be turned back on.
-        let mut c = cfg.clone();
-        c.apply_scenario_overrides(&ScenarioOverrides {
-            dram_refresh: Some(true),
-            ..ScenarioOverrides::default()
-        });
-        assert_eq!(
-            c.in_dram.timing.t_refi,
-            banshee_dram::DramTiming::paper_default().t_refi
-        );
     }
 
     #[test]

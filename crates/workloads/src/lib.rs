@@ -43,9 +43,8 @@ pub use kv::{KeyValueParams, KeyValueTrace};
 pub use mix::SpecMix;
 pub use phased::{PhasedParams, PhasedTrace};
 pub use scenario::{
-    DramPagePolicyOverride, DramSchedulerOverride, ScenarioError, ScenarioOverrides, ScenarioSpec,
-    ScenarioSweep, ScenarioTelemetry, ScenarioWorkloadEntry, ScenarioWorkloadInstance,
-    ScenarioWorkloadSpec,
+    DramPagePolicyOverride, ScenarioError, ScenarioOverrides, ScenarioSpec, ScenarioSweep,
+    ScenarioTelemetry, ScenarioWorkloadEntry, ScenarioWorkloadInstance, ScenarioWorkloadSpec,
 };
 pub use spec::SpecProgram;
 pub use synthetic::{SyntheticParams, SyntheticTrace};

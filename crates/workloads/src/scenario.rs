@@ -28,7 +28,7 @@
 //!   "designs": ["NoCache", "Banshee"],
 //!   "sweep": {"footprint_factors": [2, 4], "seeds": [42],
 //!             "page_policies": ["open", "closed"], "write_queue_depths": [0, 32]},
-//!   "config": {"cores": 8, "large_pages": true, "dram_scheduler": "frfcfs"}
+//!   "config": {"cores": 8, "total_instructions": 2000000}
 //! }
 //! ```
 
@@ -61,39 +61,8 @@ fn err(path: &str, msg: impl fmt::Display) -> ScenarioError {
     ScenarioError(format!("{path}: {msg}"))
 }
 
-/// DRAM scheduler selection in a scenario file. Pure data — the sim crate
-/// maps it onto `banshee_dram::SchedulerKind`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DramSchedulerOverride {
-    /// First-come-first-served write draining.
-    Fcfs,
-    /// First-ready FCFS (row hits first).
-    FrFcfs,
-}
-
-impl DramSchedulerOverride {
-    /// The scenario-file spelling.
-    pub fn label(self) -> &'static str {
-        match self {
-            DramSchedulerOverride::Fcfs => "fcfs",
-            DramSchedulerOverride::FrFcfs => "frfcfs",
-        }
-    }
-
-    fn parse(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        match as_string(v, path)?.as_str() {
-            "fcfs" => Ok(DramSchedulerOverride::Fcfs),
-            "frfcfs" => Ok(DramSchedulerOverride::FrFcfs),
-            other => Err(err(
-                path,
-                format!("unknown scheduler `{other}`; valid values: fcfs, frfcfs"),
-            )),
-        }
-    }
-}
-
-/// DRAM page-policy selection in a scenario file (mapped onto
-/// `banshee_dram::PagePolicy` by the sim crate).
+/// DRAM page-policy selection in a scenario file's `page_policies` sweep
+/// axis (mapped onto `banshee_dram::PagePolicy` by the experiment harness).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DramPagePolicyOverride {
     /// Rows stay open between accesses.
@@ -134,36 +103,13 @@ pub struct ScenarioOverrides {
     pub total_instructions: Option<u64>,
     /// Warm-up instructions per cell.
     pub warmup_instructions: Option<u64>,
-    /// Instructions between controller epochs.
-    pub epoch_instructions: Option<u64>,
     /// Outstanding-miss window per core.
     pub mlp_per_core: Option<usize>,
-    /// Per-core TLB entries.
-    pub tlb_entries: Option<usize>,
-    /// Core issue width.
-    pub issue_width: Option<u32>,
     /// DRAM-cache capacity in MiB (rescales the LLC and in-package DRAM
     /// the same way the built-in scales do).
     pub dram_cache_mib: Option<u64>,
     /// In-package : off-package bandwidth ratio (channel count).
     pub bandwidth_ratio: Option<usize>,
-    /// In-package latency scale (Figure 8b's knob).
-    pub latency_scale: Option<f64>,
-    /// Run with 2 MiB large pages.
-    pub large_pages: Option<bool>,
-    /// Wrap designs with BATMAN bandwidth balancing.
-    pub use_batman: Option<bool>,
-    /// Memory-scheduler policy for both DRAM devices.
-    pub dram_scheduler: Option<DramSchedulerOverride>,
-    /// Row-buffer page policy for both DRAM devices.
-    pub dram_page_policy: Option<DramPagePolicyOverride>,
-    /// Per-channel write-queue capacity for both DRAM devices (0 services
-    /// writes immediately; watermarks are rescaled proportionally).
-    pub dram_write_queue_depth: Option<usize>,
-    /// Bounded per-bank read-queue depth for both DRAM devices.
-    pub dram_read_queue_depth: Option<usize>,
-    /// Enable/disable periodic refresh (tREFI/tRFC) on both DRAM devices.
-    pub dram_refresh: Option<bool>,
 }
 
 impl ScenarioOverrides {
@@ -660,16 +606,6 @@ fn as_f64(v: &Value, path: &str) -> Result<f64, ScenarioError> {
     }
 }
 
-fn as_bool(v: &Value, path: &str) -> Result<bool, ScenarioError> {
-    match v {
-        Value::Bool(b) => Ok(*b),
-        other => Err(err(
-            path,
-            format!("expected a boolean, got {}", other.kind()),
-        )),
-    }
-}
-
 fn get<'v>(obj: &'v [(String, Value)], key: &str) -> Option<&'v Value> {
     obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
@@ -1064,20 +1000,9 @@ fn parse_overrides(value: &Value) -> Result<ScenarioOverrides, ScenarioError> {
             "cores",
             "total_instructions",
             "warmup_instructions",
-            "epoch_instructions",
             "mlp_per_core",
-            "tlb_entries",
-            "issue_width",
             "dram_cache_mib",
             "bandwidth_ratio",
-            "latency_scale",
-            "large_pages",
-            "use_batman",
-            "dram_scheduler",
-            "dram_page_policy",
-            "dram_write_queue_depth",
-            "dram_read_queue_depth",
-            "dram_refresh",
         ],
     )?;
     let mut o = ScenarioOverrides::default();
@@ -1101,60 +1026,14 @@ fn parse_overrides(value: &Value) -> Result<ScenarioOverrides, ScenarioError> {
             u64::MAX,
         )?);
     }
-    if let Some(v) = get(obj, "epoch_instructions") {
-        o.epoch_instructions = Some(bounded_u64(
-            v,
-            &format!("{p}.epoch_instructions"),
-            1000,
-            u64::MAX,
-        )?);
-    }
     if let Some(v) = get(obj, "mlp_per_core") {
         o.mlp_per_core = Some(bounded_u64(v, &format!("{p}.mlp_per_core"), 1, 1024)? as usize);
-    }
-    if let Some(v) = get(obj, "tlb_entries") {
-        o.tlb_entries = Some(bounded_u64(v, &format!("{p}.tlb_entries"), 1, 1 << 20)? as usize);
-    }
-    if let Some(v) = get(obj, "issue_width") {
-        o.issue_width = Some(bounded_u64(v, &format!("{p}.issue_width"), 1, 64)? as u32);
     }
     if let Some(v) = get(obj, "dram_cache_mib") {
         o.dram_cache_mib = Some(bounded_u64(v, &format!("{p}.dram_cache_mib"), 1, 1 << 20)?);
     }
     if let Some(v) = get(obj, "bandwidth_ratio") {
         o.bandwidth_ratio = Some(bounded_u64(v, &format!("{p}.bandwidth_ratio"), 1, 64)? as usize);
-    }
-    if let Some(v) = get(obj, "latency_scale") {
-        o.latency_scale = Some(bounded_f64(v, &format!("{p}.latency_scale"), 0.05, 4.0)?);
-    }
-    if let Some(v) = get(obj, "large_pages") {
-        o.large_pages = Some(as_bool(v, &format!("{p}.large_pages"))?);
-    }
-    if let Some(v) = get(obj, "use_batman") {
-        o.use_batman = Some(as_bool(v, &format!("{p}.use_batman"))?);
-    }
-    if let Some(v) = get(obj, "dram_scheduler") {
-        o.dram_scheduler = Some(DramSchedulerOverride::parse(
-            v,
-            &format!("{p}.dram_scheduler"),
-        )?);
-    }
-    if let Some(v) = get(obj, "dram_page_policy") {
-        o.dram_page_policy = Some(DramPagePolicyOverride::parse(
-            v,
-            &format!("{p}.dram_page_policy"),
-        )?);
-    }
-    if let Some(v) = get(obj, "dram_write_queue_depth") {
-        o.dram_write_queue_depth =
-            Some(bounded_u64(v, &format!("{p}.dram_write_queue_depth"), 0, 4096)? as usize);
-    }
-    if let Some(v) = get(obj, "dram_read_queue_depth") {
-        o.dram_read_queue_depth =
-            Some(bounded_u64(v, &format!("{p}.dram_read_queue_depth"), 1, 1024)? as usize);
-    }
-    if let Some(v) = get(obj, "dram_refresh") {
-        o.dram_refresh = Some(as_bool(v, &format!("{p}.dram_refresh"))?);
     }
     Ok(o)
 }
@@ -1223,7 +1102,7 @@ mod tests {
             ],
             "designs": ["NoCache", "Banshee"],
             "sweep": {"footprint_factors": [2, 4], "seeds": [1, 2]},
-            "config": {"cores": 8, "large_pages": true}
+            "config": {"cores": 8, "mlp_per_core": 4}
         }"#;
         let spec = ScenarioSpec::from_json_str(json, base()).unwrap();
         assert_eq!(spec.workloads.len(), 4);
@@ -1231,7 +1110,7 @@ mod tests {
         assert_eq!(spec.sweep.footprint_factors, [2.0, 4.0]);
         assert_eq!(spec.sweep.seeds, [1, 2]);
         assert_eq!(spec.overrides.cores, Some(8));
-        assert_eq!(spec.overrides.large_pages, Some(true));
+        assert_eq!(spec.overrides.mlp_per_core, Some(4));
         assert_eq!(spec.cells_per_design(), 16);
         assert!(spec.telemetry.is_none());
     }
@@ -1288,23 +1167,9 @@ mod tests {
             "name": "dram",
             "workloads": [{"type": "builtin", "name": "mcf"}],
             "sweep": {"page_policies": ["open", "closed"],
-                      "write_queue_depths": [0, 8, 32]},
-            "config": {"dram_scheduler": "fcfs", "dram_page_policy": "closed",
-                       "dram_write_queue_depth": 16, "dram_read_queue_depth": 4,
-                       "dram_refresh": false}
+                      "write_queue_depths": [0, 8, 32]}
         }"#;
         let spec = ScenarioSpec::from_json_str(json, base()).unwrap();
-        assert_eq!(
-            spec.overrides.dram_scheduler,
-            Some(DramSchedulerOverride::Fcfs)
-        );
-        assert_eq!(
-            spec.overrides.dram_page_policy,
-            Some(DramPagePolicyOverride::Closed)
-        );
-        assert_eq!(spec.overrides.dram_write_queue_depth, Some(16));
-        assert_eq!(spec.overrides.dram_read_queue_depth, Some(4));
-        assert_eq!(spec.overrides.dram_refresh, Some(false));
         assert_eq!(
             spec.sweep.page_policies,
             vec![DramPagePolicyOverride::Open, DramPagePolicyOverride::Closed]
@@ -1316,13 +1181,6 @@ mod tests {
 
     #[test]
     fn dram_knob_errors_name_valid_values() {
-        let bad_sched = r#"{"name": "x", "workloads": [{"type": "builtin", "name": "mcf"}],
-            "config": {"dram_scheduler": "lifo"}}"#;
-        let e = ScenarioSpec::from_json_str(bad_sched, base())
-            .unwrap_err()
-            .to_string();
-        assert!(e.contains("fcfs, frfcfs"), "{e}");
-
         let bad_policy = r#"{"name": "x", "workloads": [{"type": "builtin", "name": "mcf"}],
             "sweep": {"page_policies": ["ajar"]}}"#;
         let e = ScenarioSpec::from_json_str(bad_policy, base())
@@ -1405,18 +1263,37 @@ mod tests {
     fn frequency_backend_errors_name_the_path_and_grammar() {
         // The removed keys are rejected even with values that once parsed,
         // and the error lists the fields each object does accept.
-        let old_config = r#"{"name": "x", "workloads": [{"type": "builtin", "name": "mcf"}],
-            "config": {"frequency_backend": "cms:8192x4"}}"#;
-        let e = ScenarioSpec::from_json_str(old_config, base())
-            .unwrap_err()
-            .to_string();
-        assert!(
-            e.contains("scenario.config")
-                && e.contains("unknown field `frequency_backend`")
-                && e.contains("valid fields: cores,")
-                && e.contains("dram_scheduler"),
-            "{e}"
-        );
+        let config_fields = "valid fields: cores, total_instructions, warmup_instructions, \
+                             mlp_per_core, dram_cache_mib, bandwidth_ratio";
+        let removed: &[(&str, &str)] = &[
+            ("frequency_backend", r#""cms:8192x4""#),
+            ("epoch_instructions", "500000"),
+            ("tlb_entries", "64"),
+            ("issue_width", "4"),
+            ("latency_scale", "0.5"),
+            ("large_pages", "true"),
+            ("use_batman", "true"),
+            ("dram_scheduler", r#""fcfs""#),
+            ("dram_page_policy", r#""closed""#),
+            ("dram_write_queue_depth", "16"),
+            ("dram_read_queue_depth", "4"),
+            ("dram_refresh", "false"),
+        ];
+        for (key, value) in removed {
+            let old_config = format!(
+                r#"{{"name": "x", "workloads": [{{"type": "builtin", "name": "mcf"}}],
+                    "config": {{"{key}": {value}}}}}"#
+            );
+            let e = ScenarioSpec::from_json_str(&old_config, base())
+                .unwrap_err()
+                .to_string();
+            assert!(
+                e.contains("scenario.config")
+                    && e.contains(&format!("unknown field `{key}`"))
+                    && e.ends_with(config_fields),
+                "{e}"
+            );
+        }
 
         let old_axis = r#"{"name": "x", "workloads": [{"type": "builtin", "name": "mcf"}],
             "sweep": {"frequency_backends": ["exact", "cms:4096x4"]}}"#;
