@@ -25,20 +25,41 @@ use crate::controller::{DemandStats, DramCacheController};
 use crate::design::DCacheConfig;
 use crate::plan::{DramOp, MemRequest, PlanSink, RequestKind};
 use banshee_common::persist::{Persist, SnapshotError, SnapshotReader, SnapshotWriter};
-use banshee_common::{
-    Addr, Cycle, FastDivMod, FnvHashMap, LineAddr, StatSet, TrafficClass, XorShiftRng,
-};
+use banshee_common::{Addr, Cycle, FastDivMod, LineAddr, StatSet, TrafficClass, XorShiftRng};
 
-/// Every counter name [`AlloyCache::bump`] can record, used to re-intern the
-/// `&'static str` keys when restoring a snapshot.
-const STAT_KEYS: [&str; 6] = [
-    "alloy_hits",
-    "alloy_misses",
-    "alloy_fills",
-    "alloy_dirty_victim_writebacks",
-    "alloy_writeback_hits",
-    "alloy_writeback_misses",
-];
+/// The controller's event counters, reported by [`DramCacheController::stats`]
+/// under the names [`Counters::named_mut`] gives them.
+#[derive(Debug, Clone, Copy, Default)]
+struct Counters {
+    hits: u64,
+    misses: u64,
+    fills: u64,
+    dirty_victim_writebacks: u64,
+    writeback_hits: u64,
+    writeback_misses: u64,
+}
+
+impl Counters {
+    /// Every counter with its stat name, sorted by name.
+    fn named_mut(&mut self) -> [(&'static str, &mut u64); 6] {
+        [
+            (
+                "alloy_dirty_victim_writebacks",
+                &mut self.dirty_victim_writebacks,
+            ),
+            ("alloy_fills", &mut self.fills),
+            ("alloy_hits", &mut self.hits),
+            ("alloy_misses", &mut self.misses),
+            ("alloy_writeback_hits", &mut self.writeback_hits),
+            ("alloy_writeback_misses", &mut self.writeback_misses),
+        ]
+    }
+
+    /// Every counter's value with its stat name, sorted by name.
+    fn named(mut self) -> [(&'static str, u64); 6] {
+        self.named_mut().map(|(name, value)| (name, *value))
+    }
+}
 
 /// Per-slot state of the direct-mapped cache.
 #[derive(Debug, Clone, Copy, Default)]
@@ -58,7 +79,7 @@ pub struct AlloyCache {
     fill_probability: f64,
     demand: DemandStats,
     rng: XorShiftRng,
-    stats: FnvHashMap<&'static str, u64>,
+    counters: Counters,
     name: String,
 }
 
@@ -85,7 +106,7 @@ impl AlloyCache {
             fill_probability,
             demand: DemandStats::new(4096),
             rng: XorShiftRng::new(0xA110),
-            stats: FnvHashMap::default(),
+            counters: Counters::default(),
             name,
         }
     }
@@ -110,10 +131,6 @@ impl AlloyCache {
     fn slot_addr(&self, idx: usize) -> Addr {
         Addr::new(idx as u64 * 72)
     }
-
-    fn bump(&mut self, key: &'static str) {
-        *self.stats.entry(key).or_insert(0) += 1;
-    }
 }
 
 impl DramCacheController for AlloyCache {
@@ -132,7 +149,7 @@ impl DramCacheController for AlloyCache {
             RequestKind::DemandMiss => {
                 self.demand.record(hit);
                 if hit {
-                    self.bump("alloy_hits");
+                    self.counters.hits += 1;
                     if req.write {
                         self.slots[idx].dirty = true;
                     }
@@ -143,7 +160,7 @@ impl DramCacheController for AlloyCache {
                     return;
                 }
 
-                self.bump("alloy_misses");
+                self.counters.misses += 1;
                 // Speculative TAD read (wasted data half) then off-package fetch.
                 sink.then(DramOp::in_package(tad_addr, 64, TrafficClass::MissData))
                     .then(DramOp::in_package(tad_addr, 32, TrafficClass::Tag))
@@ -151,10 +168,10 @@ impl DramCacheController for AlloyCache {
 
                 // Stochastic fill (BEAR).
                 if self.rng.chance(self.fill_probability) {
-                    self.bump("alloy_fills");
+                    self.counters.fills += 1;
                     let victim = self.slots[idx];
                     if victim.valid && victim.dirty {
-                        self.bump("alloy_dirty_victim_writebacks");
+                        self.counters.dirty_victim_writebacks += 1;
                         let victim_line = self.resident_line(idx);
                         sink.also(DramOp::off_package_write(
                             victim_line.base_addr(),
@@ -182,7 +199,7 @@ impl DramCacheController for AlloyCache {
             }
             RequestKind::Writeback => {
                 if hit {
-                    self.bump("alloy_writeback_hits");
+                    self.counters.writeback_hits += 1;
                     self.slots[idx].dirty = true;
                     sink.also(DramOp::in_package_write(
                         tad_addr,
@@ -195,7 +212,7 @@ impl DramCacheController for AlloyCache {
                         TrafficClass::Tag,
                     ));
                 } else {
-                    self.bump("alloy_writeback_misses");
+                    self.counters.writeback_misses += 1;
                     sink.also(DramOp::off_package_write(
                         req.addr,
                         64,
@@ -216,8 +233,10 @@ impl DramCacheController for AlloyCache {
 
     fn stats(&self) -> StatSet {
         let mut s = StatSet::new();
-        for (k, v) in self.stats.iter() {
-            s.add(k, *v);
+        for (name, value) in self.counters.named() {
+            if value > 0 {
+                s.add(name, value);
+            }
         }
         s
     }
@@ -236,13 +255,17 @@ impl DramCacheController for AlloyCache {
         });
         self.demand.save(w);
         self.rng.save(w);
-        // The stats map is only read through the name-sorted StatSet, so a
-        // sorted encoding is canonical.
-        let mut stats: Vec<(&&'static str, &u64)> = self.stats.iter().collect();
-        stats.sort_unstable_by_key(|(k, _)| **k);
-        w.seq_with(&stats, |w, (k, v)| {
-            w.str(k);
-            w.u64(**v);
+        // The counters that have counted anything, sorted by name: the
+        // encoding the name-keyed map they replace had.
+        let counted: Vec<(&str, u64)> = self
+            .counters
+            .named()
+            .into_iter()
+            .filter(|&(_, value)| value > 0)
+            .collect();
+        w.seq_with(&counted, |w, (name, value)| {
+            w.str(name);
+            w.u64(*value);
         });
     }
 
@@ -269,24 +292,28 @@ impl DramCacheController for AlloyCache {
         }
         self.demand = DemandStats::restore(r)?;
         self.rng = XorShiftRng::restore(r)?;
-        self.stats.clear();
+        let mut counters = Counters::default();
+        let mut seen = Vec::new();
         let stats_len = r.seq_len(10)?;
         for _ in 0..stats_len {
             let key = r.string()?;
             let value = r.u64()?;
-            let interned = STAT_KEYS
-                .iter()
-                .find(|k| **k == key)
-                .copied()
+            let (_, counter) = counters
+                .named_mut()
+                .into_iter()
+                .find(|(name, _)| *name == key)
                 .ok_or_else(|| {
                     SnapshotError::Corrupt(format!("unknown alloy stat counter {key:?}"))
                 })?;
-            if self.stats.insert(interned, value).is_some() {
+            *counter = value;
+            if seen.contains(&key) {
                 return Err(SnapshotError::Corrupt(format!(
                     "duplicate alloy stat counter {key:?}"
                 )));
             }
+            seen.push(key);
         }
+        self.counters = counters;
         Ok(())
     }
 }
@@ -389,6 +416,59 @@ mod tests {
             64,
             "dirty victim must be written back"
         );
+    }
+
+    /// `stats()` lists only the counters that counted, and an image holds
+    /// them sorted by name; a restore reads them back, and rejects unknown
+    /// or repeated names.
+    #[test]
+    fn counters_report_and_persist_only_what_counted() {
+        use banshee_common::SnapshotWriter;
+        let mut c = AlloyCache::new(&small_config(), 1.0);
+        let a = Addr::new(0x40);
+        c.access_collected(&MemRequest::demand(a, 0), 0);
+        c.access_collected(&MemRequest::demand(a, 0), 0);
+        c.access_collected(&MemRequest::writeback(a, 0), 0);
+        let stats: Vec<(String, u64)> = c.stats().iter().map(|(k, v)| (k.to_string(), v)).collect();
+        let expected = [
+            ("alloy_fills", 1),
+            ("alloy_hits", 1),
+            ("alloy_misses", 1),
+            ("alloy_writeback_hits", 1),
+        ];
+        assert_eq!(stats, expected.map(|(k, v)| (k.to_string(), v)).to_vec());
+        let save = |c: &AlloyCache| {
+            let mut w = SnapshotWriter::new();
+            c.save_state(&mut w);
+            w.into_bytes()
+        };
+        let bytes = save(&c);
+        // The image ends with the counted names, sorted, and their values.
+        let counters = |entries: &[(&str, u64)]| {
+            let mut w = SnapshotWriter::new();
+            w.usize(entries.len());
+            for (k, v) in entries {
+                w.str(k);
+                w.u64(*v);
+            }
+            w.into_bytes()
+        };
+        let tail = counters(&expected);
+        assert!(bytes.ends_with(&tail));
+        let mut back = AlloyCache::new(&small_config(), 1.0);
+        back.load_state(&mut SnapshotReader::new(&bytes)).unwrap();
+        assert_eq!(save(&back), bytes);
+        let head = &bytes[..bytes.len() - tail.len()];
+        for bad in [
+            &[("alloy_xits", 1)][..],
+            &[("alloy_hits", 1), ("alloy_hits", 2)][..],
+        ] {
+            let corrupt = [head, &counters(bad)].concat();
+            let mut fresh = AlloyCache::new(&small_config(), 1.0);
+            assert!(fresh
+                .load_state(&mut SnapshotReader::new(&corrupt))
+                .is_err());
+        }
     }
 
     #[test]

@@ -27,11 +27,16 @@
 //! accesses), and *write interference* (drain bursts delaying demand reads).
 //!
 //! All state is allocated at construction (queue and per-bank rings are
-//! fixed-capacity); no access allocates.
+//! fixed-capacity); no access allocates. An op's bus occupancy comes from a
+//! per-granule table built once from [`DramConfig::transfer_cycles`]. The
+//! write queue is kept in `seq` (arrival) order — writes are appended,
+//! drained ones are removed in place, and a restored queue is sorted by
+//! `seq` — so FR-FCFS's oldest row hit is the first queued write whose row
+//! is open, and the oldest write overall is the head.
 
 use crate::config::{DramConfig, PagePolicy, SchedulerKind};
 use banshee_common::persist::{Persist, SnapshotError, SnapshotReader, SnapshotWriter};
-use banshee_common::{Addr, Cycle, FastDivMod, TrafficClass};
+use banshee_common::{Addr, Cycle, FastDivMod, TrafficClass, PAGE_SIZE};
 
 /// What the row buffer did for an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,6 +102,9 @@ pub struct ChannelAccess {
     pub finish: Cycle,
     /// Row-buffer behaviour of this access.
     pub row_outcome: RowBufferOutcome,
+    /// Bytes the access moves, rounded up to the link's minimum transfer
+    /// granule.
+    pub bytes: u64,
 }
 
 /// One pending entry of the write queue.
@@ -127,10 +135,16 @@ struct TimingCpu {
 pub struct Channel {
     config: DramConfig,
     timing: TimingCpu,
+    /// `transfer[g]` is `config.transfer_cycles(g × min_transfer_bytes)`:
+    /// the bus cycles of a `g`-granule transfer, for every size up to one
+    /// page. Larger transfers fall back to the same formula.
+    transfer: Box<[Cycle]>,
+    granule_div: FastDivMod,
     banks: Vec<Bank>,
     row_div: FastDivMod,
     bank_div: FastDivMod,
     bus_free: Cycle,
+    /// Posted writes in `seq` order (oldest first).
     write_queue: Vec<WriteEntry>,
     next_refresh: Cycle,
     write_seq: u64,
@@ -171,8 +185,13 @@ impl Channel {
             t_refi: cfg.refresh_interval_cycles(),
             t_rfc: cfg.refresh_duration_cycles(),
         };
+        let granule = cfg.min_transfer_bytes;
         Channel {
             timing,
+            transfer: (0..=PAGE_SIZE.div_ceil(granule))
+                .map(|g| cfg.transfer_cycles(g * granule))
+                .collect(),
+            granule_div: FastDivMod::new(granule),
             banks: (0..cfg.banks_per_channel)
                 .map(|_| Bank::new(cfg.read_queue_depth))
                 .collect(),
@@ -273,6 +292,19 @@ impl Channel {
         )
     }
 
+    /// Round `bytes` up to the minimum transfer granule and return the
+    /// rounded size with its bus occupancy in CPU cycles.
+    #[inline]
+    fn sized(&self, bytes: u64) -> (u64, Cycle) {
+        let granules = self.granule_div.div(bytes) + u64::from(self.granule_div.rem(bytes) != 0);
+        let rounded = granules * self.granule_div.n();
+        let transfer = match self.transfer.get(granules as usize) {
+            Some(&cycles) => cycles,
+            None => self.config.transfer_cycles(rounded),
+        };
+        (rounded, transfer)
+    }
+
     /// Apply every all-bank refresh scheduled before `now`: close all rows
     /// and block every bank for tRFC.
     fn advance_refresh(&mut self, now: Cycle) {
@@ -299,13 +331,14 @@ impl Channel {
         }
     }
 
-    /// Service one request on its bank and the bus, returning its timing.
+    /// Service one request of `bytes` (already rounded) taking `transfer`
+    /// bus cycles on its bank and the bus, returning its timing.
     fn service(
         &mut self,
         now: Cycle,
         bank_idx: usize,
         row: u64,
-        bytes: u64,
+        (bytes, transfer): (u64, Cycle),
         class: TrafficClass,
     ) -> ChannelAccess {
         let t = self.timing;
@@ -336,14 +369,13 @@ impl Channel {
             None => (RowBufferOutcome::Closed, Some(start), start + t.closed),
         };
 
-        let transfer = self.config.transfer_cycles(bytes);
         let bus_start = data_ready.max(self.bus_free);
         let finish = bus_start + transfer;
 
         // Bus accounting.
         self.bus_free = finish;
         self.busy_cycles += transfer;
-        self.transferred[class.index()] += self.config.round_to_min_transfer(bytes);
+        self.transferred[class.index()] += bytes;
         self.accesses += 1;
         match outcome {
             RowBufferOutcome::Hit => self.row_hits += 1,
@@ -353,7 +385,10 @@ impl Channel {
 
         // Bank bookkeeping.
         bank.ring[bank.ring_idx as usize] = finish;
-        bank.ring_idx = (bank.ring_idx + 1) % bank.ring.len() as u32;
+        bank.ring_idx += 1;
+        if bank.ring_idx as usize == bank.ring.len() {
+            bank.ring_idx = 0;
+        }
         if closed_policy {
             // Auto-precharge: the row closes, and the next activate must
             // respect tRAS + tRP from this one.
@@ -378,6 +413,7 @@ impl Channel {
             start,
             finish,
             row_outcome: outcome,
+            bytes,
         }
     }
 
@@ -391,7 +427,8 @@ impl Channel {
     ) -> ChannelAccess {
         self.advance_refresh(now);
         let (bank, row) = self.decode(addr);
-        self.service(now, bank, row, bytes, class)
+        let sized = self.sized(bytes);
+        self.service(now, bank, row, sized, class)
     }
 
     /// Post a write of `bytes` at `addr` at `now`. With a write queue the
@@ -406,15 +443,16 @@ impl Channel {
     ) -> ChannelAccess {
         self.advance_refresh(now);
         let (bank, row) = self.decode(addr);
+        let sized = self.sized(bytes);
         if self.config.write_queue_depth == 0 {
-            return self.service(now, bank, row, bytes, class);
+            return self.service(now, bank, row, sized, class);
         }
         if self.write_queue.len() == self.config.write_queue_depth {
             // Queue full (possible when the low watermark equals capacity
             // minus one burst): force a drain before accepting the write.
             self.drain_writes_to(now, self.config.write_low_watermark);
         }
-        let rounded = self.config.round_to_min_transfer(bytes);
+        let rounded = sized.0;
         self.queued[class.index()] += rounded;
         self.write_queue.push(WriteEntry {
             bank: bank as u32,
@@ -432,6 +470,7 @@ impl Channel {
             start: now,
             finish: now,
             row_outcome: RowBufferOutcome::Buffered,
+            bytes: rounded,
         }
     }
 
@@ -442,47 +481,21 @@ impl Channel {
             self.write_drains += 1;
         }
         while self.write_queue.len() > target {
+            // The queue is in `seq` order, so the first row hit is the
+            // oldest one and the head is the oldest write overall.
             let pick = match self.config.scheduler {
-                SchedulerKind::FrFcfs => self.pick_fr_fcfs(),
-                SchedulerKind::Fcfs => self.pick_oldest(),
+                SchedulerKind::FrFcfs => self
+                    .write_queue
+                    .iter()
+                    .position(|e| self.banks[e.bank as usize].open_row == Some(e.row))
+                    .unwrap_or(0),
+                SchedulerKind::Fcfs => 0,
             };
-            let e = self.write_queue.swap_remove(pick);
+            let e = self.write_queue.remove(pick);
             self.queued[e.class.index()] -= e.bytes;
-            self.service(
-                now.max(e.enqueued),
-                e.bank as usize,
-                e.row,
-                e.bytes,
-                e.class,
-            );
+            let sized = self.sized(e.bytes);
+            self.service(now.max(e.enqueued), e.bank as usize, e.row, sized, e.class);
         }
-    }
-
-    /// Index of the queued write with the lowest sequence number.
-    fn pick_oldest(&self) -> usize {
-        let mut best = 0;
-        for (i, e) in self.write_queue.iter().enumerate() {
-            if e.seq < self.write_queue[best].seq {
-                best = i;
-            }
-        }
-        best
-    }
-
-    /// FR-FCFS: the oldest write whose row is open in its bank; otherwise
-    /// the oldest write overall.
-    fn pick_fr_fcfs(&self) -> usize {
-        let mut best = 0;
-        let mut best_key = (true, u64::MAX); // (is_row_miss, seq) — minimize
-        for (i, e) in self.write_queue.iter().enumerate() {
-            let row_miss = self.banks[e.bank as usize].open_row != Some(e.row);
-            let key = (row_miss, e.seq);
-            if key < best_key {
-                best_key = key;
-                best = i;
-            }
-        }
-        best
     }
 
     /// Force the write queue empty (end-of-run accounting, tests).
@@ -518,8 +531,8 @@ impl Channel {
             w.u32(bank.ring_idx);
         });
         w.u64(self.bus_free);
-        // The write queue is drained via `swap_remove`, so element order is
-        // semantic — write it verbatim.
+        // The write queue is in `seq` order; a restore re-sorts by `seq`, so
+        // images whose queue is in another order drain the same way.
         w.seq_with(&self.write_queue, |w, e| {
             w.u32(e.bank);
             w.u64(e.row);
@@ -605,6 +618,7 @@ impl Channel {
                 seq: r.u64()?,
             });
         }
+        self.write_queue.sort_by_key(|e| e.seq);
         self.next_refresh = r.u64()?;
         self.write_seq = r.u64()?;
         self.busy_cycles = r.u64()?;
@@ -621,8 +635,14 @@ impl Channel {
 }
 
 #[cfg(test)]
+#[path = "channel_reference.rs"]
+mod reference;
+
+#[cfg(test)]
 mod tests {
+    use super::reference::ReferenceChannel;
     use super::*;
+    use proptest::prelude::*;
 
     fn cfg() -> DramConfig {
         DramConfig::in_package_default()
@@ -954,5 +974,157 @@ mod tests {
         let mut c = cfg();
         c.write_low_watermark = c.write_high_watermark;
         let _ = Channel::new(&c);
+    }
+
+    fn image(ch: &Channel) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        ch.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    /// One FR-FCFS drain over a queue holding, oldest first, a row miss
+    /// and two hits on the open row: the older hit drains first.
+    #[test]
+    fn fr_fcfs_drains_the_oldest_row_hit_first() {
+        let mut c = bare(1);
+        c.write_queue_depth = 8;
+        c.write_high_watermark = 8;
+        c.write_low_watermark = 0;
+        let row = c.row_buffer_bytes;
+        let mut ch = Channel::new(&c);
+        ch.read(0, Addr::new(0), 64, TrafficClass::HitData);
+        ch.write(0, Addr::new(row), 64, TrafficClass::Writeback);
+        ch.write(0, Addr::new(64), 64, TrafficClass::Writeback);
+        ch.write(0, Addr::new(128), 96, TrafficClass::Writeback);
+        // Drain one write: the 64 B hit (seq 1), not the 96 B one (seq 2).
+        ch.drain_writes_to(0, 2);
+        let wb = TrafficClass::Writeback.index();
+        assert_eq!(ch.transferred_by_class()[wb], 64);
+        assert_eq!(ch.row_hit_count(), 1);
+        assert_eq!(
+            ch.write_queue.iter().map(|e| e.seq).collect::<Vec<_>>(),
+            [0, 2]
+        );
+    }
+
+    /// Every size from 1 B to past the end of the transfer table costs
+    /// what `DramConfig::transfer_cycles` says and is rounded as
+    /// `round_to_min_transfer` rounds it.
+    #[test]
+    fn transfer_table_matches_the_formula() {
+        for granule in [32, 64, 48] {
+            let c = DramConfig {
+                min_transfer_bytes: granule,
+                ..bare(8)
+            };
+            let ch = Channel::new(&c);
+            for bytes in (0..=PAGE_SIZE + 3 * granule).chain([1 << 21, (1 << 21) + 1]) {
+                assert_eq!(
+                    ch.sized(bytes),
+                    (c.round_to_min_transfer(bytes), c.transfer_cycles(bytes)),
+                    "{bytes} B at a {granule} B granule"
+                );
+            }
+        }
+    }
+
+    /// A queue saved in `swap_remove` order (the order images written
+    /// before the queue was kept sorted have) drains, once restored, the
+    /// same writes in the same order as the channel that saved it.
+    #[test]
+    fn restored_swap_removed_queue_picks_the_parents_writes() {
+        for scheduler in [SchedulerKind::FrFcfs, SchedulerKind::Fcfs] {
+            let mut c = bare(2);
+            c.scheduler = scheduler;
+            c.set_write_queue_depth(8);
+            let row = c.row_buffer_bytes;
+            let mut parent = ReferenceChannel::new(&c);
+            let mut now = 0;
+            let mut i = 0u64;
+            // Post writes until a drain has left the queue out of `seq`
+            // order.
+            let unsorted =
+                |p: &ReferenceChannel| p.0.write_queue.windows(2).any(|w| w[0].seq > w[1].seq);
+            while !unsorted(&parent) {
+                assert!(i < 1000, "no unsorted queue under {scheduler:?}");
+                let addr = Addr::new((i * 7 % 5) * row + i % 64 * 64);
+                parent.write(now, addr, 64, TrafficClass::Writeback);
+                now += 3;
+                i += 1;
+            }
+            let (bytes, _) = parent.images();
+            let mut restored = Channel::new(&c);
+            restored
+                .load_state(&mut SnapshotReader::new(&bytes))
+                .expect("restore");
+            for j in 0..64u64 {
+                let addr = Addr::new((j * 3 % 7) * row + j % 64 * 64);
+                assert_eq!(
+                    restored.write(now, addr, 32, TrafficClass::Replacement),
+                    parent.write(now, addr, 32, TrafficClass::Replacement),
+                );
+                now += 5;
+            }
+            restored.drain_all_writes(now);
+            parent.drain_all_writes(now);
+            assert_eq!(image(&restored), parent.images().0);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The table-driven channel matches the scan-and-f64 reference on
+        /// every access, under both schedulers, both page policies and write
+        /// queues of depth 0, 1, 8 and 32, for sizes from 1 B to past the
+        /// table's end. Images agree at every forced drain and at the end,
+        /// up to the order of the queued writes.
+        #[test]
+        fn prop_matches_reference_channel(
+            policies in (0u8..2, 0u8..2),
+            shape in (0usize..4, 1usize..5, 1usize..9),
+            ops in proptest::collection::vec((0u8..12, 0u64..1 << 17, 0u64..6000, 0u64..300), 1..400),
+        ) {
+            let ((fr_fcfs, closed), (depth, banks, read_depth)) = (policies, shape);
+            let mut c = DramConfig {
+                banks_per_channel: banks,
+                read_queue_depth: read_depth,
+                scheduler: if fr_fcfs == 1 { SchedulerKind::FrFcfs } else { SchedulerKind::Fcfs },
+                page_policy: if closed == 1 { PagePolicy::Closed } else { PagePolicy::Open },
+                ..cfg()
+            };
+            c.set_write_queue_depth([0, 1, 8, 32][depth]);
+            let mut ch = Channel::new(&c);
+            let mut reference = ReferenceChannel::new(&c);
+            let mut now = 0;
+            for (op, addr, size, gap) in ops {
+                now += gap;
+                let addr = Addr::new(addr);
+                let bytes = match size % 4 {
+                    0 => [32, 64, 96, 4096][(size / 4 % 4) as usize],
+                    _ => size / 4 * 5 + 1,
+                };
+                let class = TrafficClass::ALL[(size % TrafficClass::ALL.len() as u64) as usize];
+                match op {
+                    0 => {
+                        ch.drain_all_writes(now);
+                        reference.drain_all_writes(now);
+                        prop_assert_eq!(image(&ch), reference.images().0);
+                    }
+                    1..=5 => prop_assert_eq!(
+                        ch.write(now, addr, bytes, class),
+                        reference.write(now, addr, bytes, class)
+                    ),
+                    _ => prop_assert_eq!(
+                        ch.read(now, addr, bytes, class),
+                        reference.read(now, addr, bytes, class)
+                    ),
+                }
+            }
+            prop_assert_eq!(image(&ch), reference.images().1);
+            ch.drain_all_writes(now);
+            reference.drain_all_writes(now);
+            prop_assert_eq!(image(&ch), reference.images().0);
+        }
     }
 }

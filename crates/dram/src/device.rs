@@ -16,6 +16,9 @@ pub struct AccessOutcome {
     pub finish: Cycle,
     /// Which channel serviced it.
     pub channel: usize,
+    /// Bytes the access moved, rounded up to the link's minimum transfer
+    /// granule (the amount recorded in [`DramDevice::traffic`]).
+    pub bytes: u64,
 }
 
 impl AccessOutcome {
@@ -54,9 +57,8 @@ impl DramDevice {
     /// Build a device of the given kind from its configuration.
     pub fn new(kind: DramKind, config: DramConfig) -> Self {
         assert!(config.channels > 0, "device needs at least one channel");
-        let channels = (0..config.channels)
-            .map(|_| Channel::new(&config))
-            .collect();
+        // Identical channels: build one (with its transfer table) and clone.
+        let channels = vec![Channel::new(&config); config.channels];
         DramDevice {
             kind,
             channels,
@@ -160,20 +162,25 @@ impl DramDevice {
         class: TrafficClass,
         write: bool,
     ) -> AccessOutcome {
-        let rounded = self.config.round_to_min_transfer(bytes);
-        self.traffic.add(self.kind, class, rounded);
         let ch_idx = self.channel_for(addr);
-        let ChannelAccess { start, finish, .. } = if write {
+        let ChannelAccess {
+            start,
+            finish,
+            bytes,
+            ..
+        } = if write {
             self.channels[ch_idx].write(now, addr, bytes, class)
         } else {
             self.channels[ch_idx].read(now, addr, bytes, class)
         };
+        self.traffic.add(self.kind, class, bytes);
         self.access_count += 1;
         self.total_latency += finish.saturating_sub(now);
         AccessOutcome {
             start,
             finish,
             channel: ch_idx,
+            bytes,
         }
     }
 

@@ -481,26 +481,20 @@ impl System {
             ..
         } = self;
         for op in &sink.critical {
-            let dev = dram.device_mut(op.dram);
-            planned.add(
-                op.dram,
-                op.class,
-                dev.config().round_to_min_transfer(op.bytes),
-            );
-            let outcome = dev.access(t, op.addr, op.bytes, op.class, op.write);
+            let outcome = dram
+                .device_mut(op.dram)
+                .access(t, op.addr, op.bytes, op.class, op.write);
+            planned.add(op.dram, op.class, outcome.bytes);
             t = outcome.finish;
         }
         // Background work starts once the critical path has resolved (e.g.
         // a fill begins after the demand data arrived) and only consumes
         // bandwidth.
         for op in &sink.background {
-            let dev = dram.device_mut(op.dram);
-            planned.add(
-                op.dram,
-                op.class,
-                dev.config().round_to_min_transfer(op.bytes),
-            );
-            dev.access(t, op.addr, op.bytes, op.class, op.write);
+            let outcome = dram
+                .device_mut(op.dram)
+                .access(t, op.addr, op.bytes, op.class, op.write);
+            planned.add(op.dram, op.class, outcome.bytes);
         }
         if !self.sink.side_effects.is_empty() {
             let effects = std::mem::take(&mut self.sink.side_effects);

@@ -112,13 +112,6 @@ pub struct ScenarioOverrides {
     pub bandwidth_ratio: Option<usize>,
 }
 
-impl ScenarioOverrides {
-    /// True if no override is set.
-    pub fn is_empty(&self) -> bool {
-        *self == ScenarioOverrides::default()
-    }
-}
-
 /// Telemetry-recorder knobs a scenario may carry. Pure parameterization:
 /// the block does *not* turn telemetry on — activation stays with the
 /// harness (`--telemetry DIR`), so running the same scenario with telemetry
@@ -1083,7 +1076,7 @@ mod tests {
         assert_eq!(spec.workloads.len(), 1);
         assert!(spec.designs.is_empty());
         assert_eq!(spec.sweep, ScenarioSweep::default());
-        assert!(spec.overrides.is_empty());
+        assert_eq!(spec.overrides, ScenarioOverrides::default());
         assert_eq!(spec.cells_per_design(), 1);
     }
 
