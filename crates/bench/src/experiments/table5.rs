@@ -4,6 +4,7 @@
 use crate::runner::Runner;
 use crate::table::{fmt_pct, write_json, Table};
 use banshee_dcache::DramCacheDesign;
+use banshee_sim::SimConfig;
 use banshee_workloads::WorkloadKind;
 use serde::Serialize;
 
@@ -24,10 +25,15 @@ pub const COSTS_US: [f64; 3] = [10.0, 20.0, 40.0];
 /// Run the sweep. The free-update baselines and every swept cost share one
 /// batch through the execution engine.
 pub fn run(runner: &Runner, workloads: &[WorkloadKind]) -> Vec<Table5Row> {
+    sweep(runner, workloads, &runner.config(DramCacheDesign::Banshee))
+}
+
+/// The sweep over copies of `base`, a Banshee configuration.
+fn sweep(runner: &Runner, workloads: &[WorkloadKind], base: &SimConfig) -> Vec<Table5Row> {
     let mut cells = Vec::new();
     // Baseline: (effectively) free updates.
     for &w in workloads {
-        let mut cfg = runner.config(DramCacheDesign::Banshee);
+        let mut cfg = base.clone();
         cfg.pte_update_cost_us = 0.0;
         cfg.shootdown_initiator_us = 0.0;
         cfg.shootdown_slave_us = 0.0;
@@ -35,7 +41,7 @@ pub fn run(runner: &Runner, workloads: &[WorkloadKind]) -> Vec<Table5Row> {
     }
     for &cost in &COSTS_US {
         for &w in workloads {
-            let mut cfg = runner.config(DramCacheDesign::Banshee);
+            let mut cfg = base.clone();
             cfg.pte_update_cost_us = cost;
             cells.push((cfg, w));
         }
@@ -93,6 +99,7 @@ pub fn report(runner: &Runner, workloads: &[WorkloadKind]) -> Vec<Table> {
 mod tests {
     use super::*;
     use crate::runner::ExperimentScale;
+    use banshee::BansheeConfig;
     use banshee_workloads::SpecProgram;
 
     #[test]
@@ -113,5 +120,19 @@ mod tests {
             );
             assert!(r.max_perf_loss >= r.avg_perf_loss - 1e-12);
         }
+        // The paper's tag buffer rarely fills within a smoke-scale run, so
+        // the growth is checked on one 64-entry buffer, which flushes often.
+        let mut base = runner.config(DramCacheDesign::Banshee);
+        base.banshee = Some(BansheeConfig {
+            tag_buffer_entries: 64,
+            memory_controllers: 1,
+            ..BansheeConfig::from_dcache(&base.dcache)
+        });
+        let rows = sweep(&runner, &workloads, &base);
+        let losses: Vec<f64> = rows.iter().map(|r| r.avg_perf_loss).collect();
+        assert!(
+            losses[0] > 0.0 && losses[0] < losses[1] && losses[1] < losses[2],
+            "loss must grow with the update cost: {losses:?}"
+        );
     }
 }

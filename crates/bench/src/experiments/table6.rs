@@ -1,9 +1,9 @@
 //! Table 6: DRAM-cache miss rate as a function of Banshee's associativity
-//! (1, 2, 4 and 8 ways).
+//! (1, 2, 4 and 8 ways). Each cell sets `dcache.ways`; Banshee's
+//! configuration derives from it (`BansheeConfig::from_dcache`).
 
 use crate::runner::Runner;
 use crate::table::{fmt_pct, write_json, Table};
-use banshee::BansheeConfig;
 use banshee_dcache::DramCacheDesign;
 use banshee_workloads::WorkloadKind;
 use serde::Serialize;
@@ -28,11 +28,6 @@ pub fn run(runner: &Runner, workloads: &[WorkloadKind]) -> Vec<Table6Entry> {
             workloads.iter().map(move |&w| {
                 let mut cfg = runner.config(DramCacheDesign::Banshee);
                 cfg.dcache.ways = ways;
-                cfg.banshee = Some(BansheeConfig {
-                    ways,
-                    cached_entries_per_set: ways,
-                    ..BansheeConfig::from_dcache(&cfg.dcache)
-                });
                 (cfg, w)
             })
         })

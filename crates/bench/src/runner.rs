@@ -376,12 +376,7 @@ impl Runner {
     pub fn config(&self, design: DramCacheDesign) -> SimConfig {
         let mut cfg = SimConfig::scaled(design, self.scale.dram_cache_capacity());
         cfg.cores = self.scale.cores();
-        cfg.hierarchy = banshee_memhier::HierarchyConfig {
-            llc_size: MemSize::bytes(
-                (self.scale.dram_cache_capacity().as_bytes() / 32).max(256 * 1024),
-            ),
-            ..banshee_memhier::HierarchyConfig::paper_default(self.scale.cores())
-        };
+        cfg.hierarchy = SimConfig::scaled_hierarchy(cfg.cores, cfg.dcache.capacity);
         cfg.total_instructions = self.scale.instructions();
         cfg.warmup_instructions = self.scale.warmup_instructions();
         cfg.seed = self.seed;

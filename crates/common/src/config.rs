@@ -64,18 +64,22 @@ impl core::fmt::Display for MemSize {
     }
 }
 
+/// The core clock of the paper's Table 2 (2.7 GHz): the unit of every
+/// [`Cycle`](crate::Cycle) in the simulator.
+pub const CPU_CLOCK: CyclesPerSec = CyclesPerSec::ghz(2.7);
+
 /// A clock frequency expressed in cycles per second, with time→cycle helpers.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CyclesPerSec(pub f64);
 
 impl CyclesPerSec {
     /// `n` gigahertz.
-    pub fn ghz(n: f64) -> Self {
+    pub const fn ghz(n: f64) -> Self {
         CyclesPerSec(n * 1e9)
     }
 
     /// `n` megahertz.
-    pub fn mhz(n: f64) -> Self {
+    pub const fn mhz(n: f64) -> Self {
         CyclesPerSec(n * 1e6)
     }
 
@@ -119,7 +123,9 @@ mod tests {
 
     #[test]
     fn frequency_conversions() {
-        let cpu = CyclesPerSec::ghz(2.7);
+        let cpu = CPU_CLOCK;
+        assert_eq!(cpu, CyclesPerSec::ghz(2.7));
+        assert_eq!(cpu.hz(), 2.7e9);
         // 20 microseconds at 2.7 GHz is 54,000 cycles (Table 3 tag buffer
         // flush overhead).
         assert_eq!(cpu.cycles_in_us(20.0), 54_000);
@@ -129,7 +135,7 @@ mod tests {
 
     #[test]
     fn cross_clock_conversion() {
-        let cpu = CyclesPerSec::ghz(2.7);
+        let cpu = CPU_CLOCK;
         let dram_bus = CyclesPerSec::mhz(667.0);
         // 10 DRAM bus cycles (tCAS) ≈ 40.5 CPU cycles.
         let cpu_cycles = cpu.convert_cycles_from(10, dram_bus);

@@ -40,7 +40,7 @@ pub mod stats;
 pub mod telemetry;
 
 pub use addr::{Addr, LineAddr, PageNum, CACHE_LINE_SIZE, LARGE_PAGE_SIZE, PAGE_SIZE};
-pub use config::{CyclesPerSec, MemSize};
+pub use config::{CyclesPerSec, MemSize, CPU_CLOCK};
 pub use fastdiv::FastDivMod;
 pub use hash::{fnv1a64, FnvHashMap, FnvHashSet, FnvHasher};
 pub use persist::{
@@ -49,10 +49,10 @@ pub use persist::{
 };
 pub use replay::ReplaySet;
 pub use rng::{SplitMix64, XorShiftRng, ZipfSampler};
-pub use stats::{Counter, DramKind, StatSet, TrafficClass, TrafficStats};
+pub use stats::{DramKind, StatSet, TrafficClass, TrafficStats};
 pub use telemetry::{Recorder, TelemetryConfig, TelemetryError};
 
-/// A timestamp or duration measured in CPU cycles (2.7 GHz by default).
+/// A timestamp or duration measured in CPU cycles ([`CPU_CLOCK`], 2.7 GHz).
 ///
 /// All timing in the workspace — DRAM bank occupancy, core stall accounting,
 /// OS cost charging — is expressed in CPU cycles to avoid unit confusion.

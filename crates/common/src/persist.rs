@@ -46,7 +46,9 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"BSHSNAP\0";
 /// Format 5: SRAM caches are LRU-only and no longer persist a replacement
 /// policy tag or a victim-selection RNG stream; DRAM channels no longer
 /// persist their never-reported buffered-write count.
-pub const SNAPSHOT_FORMAT: u32 = 5;
+/// Format 6: Banshee's lazy-coherence image no longer carries the three
+/// round costs, which nothing charged (the system simulator charges its own).
+pub const SNAPSHOT_FORMAT: u32 = 6;
 
 /// Everything that can go wrong decoding a snapshot. Mirrors the typed
 /// errors of `trace_file.rs`: every variant is actionable and none panics.

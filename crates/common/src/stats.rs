@@ -191,30 +191,6 @@ impl TrafficStats {
     }
 }
 
-/// A single named event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Counter(pub u64);
-
-impl Counter {
-    /// Increment by one.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Increment by `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-}
-
 /// A loose bag of named counters, used for per-design bookkeeping that does
 /// not warrant a dedicated struct field (e.g. "tag_buffer_flushes",
 /// "tlb_shootdowns", "footprint_lines_fetched").
@@ -307,17 +283,6 @@ impl crate::persist::Persist for TrafficStats {
             out.off_package[i] = r.u64()?;
         }
         Ok(out)
-    }
-}
-
-impl crate::persist::Persist for Counter {
-    fn save(&self, w: &mut crate::persist::SnapshotWriter) {
-        w.u64(self.0);
-    }
-    fn restore(
-        r: &mut crate::persist::SnapshotReader<'_>,
-    ) -> Result<Self, crate::persist::SnapshotError> {
-        Ok(Counter(r.u64()?))
     }
 }
 
@@ -503,14 +468,6 @@ mod tests {
         merged.add("tlb_shootdowns", 1);
         merged.merge(&back);
         assert_eq!(merged.get("tlb_shootdowns"), 3);
-    }
-
-    #[test]
-    fn counter_ops() {
-        let mut c = Counter::default();
-        c.inc();
-        c.add(9);
-        assert_eq!(c.get(), 10);
     }
 
     #[test]

@@ -6,35 +6,23 @@
 //! reverse mapping, updates the cached/way bits, issues one system-wide TLB
 //! shootdown, and finally tells the tag buffers to clear their remap bits.
 //!
-//! The costs come from Table 3: the software routine is charged 20 µs on one
-//! (randomly chosen) core, the shootdown initiator pays 4 µs and every other
-//! core pays 1 µs. [`LazyCoherence`] converts a drained set of tag-buffer
-//! entries into the [`SideEffect`] list the system simulator applies, and
-//! keeps the counters reported in the paper (flushes happen roughly every
-//! 14 ms with the default replacement policy — Section 5.5.2).
+//! [`LazyCoherence`] converts a drained set of tag-buffer entries into the
+//! [`SideEffect`] list the system simulator applies, and keeps the counters
+//! reported in the paper (flushes happen roughly every 14 ms with the
+//! default replacement policy — Section 5.5.2). The round's Table 3 costs
+//! (the 20 µs routine on one randomly chosen core, 4 µs for the shootdown
+//! initiator and 1 µs for every other core) are `banshee_sim::SimConfig`
+//! fields, charged by the system simulator when it applies the effects.
 
-use crate::config::BansheeConfig;
 use crate::tag_buffer::TagBufferEntry;
 use banshee_common::persist::{Persist, SnapshotError, SnapshotReader, SnapshotWriter};
 use banshee_common::Cycle;
 use banshee_dcache::SideEffect;
 
-/// Cycle costs of one coherence round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CoherenceCosts {
-    /// Software routine cost on the interrupted core.
-    pub flush_handler: Cycle,
-    /// Shootdown cost on the initiating core.
-    pub shootdown_initiator: Cycle,
-    /// Shootdown cost on each other core.
-    pub shootdown_slave: Cycle,
-}
-
 /// The lazy-coherence mechanism: turns tag-buffer drains into OS side
 /// effects and tracks how often they happen.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LazyCoherence {
-    costs: CoherenceCosts,
     flushes: u64,
     pte_updates: u64,
     last_flush_cycle: Cycle,
@@ -42,25 +30,9 @@ pub struct LazyCoherence {
 }
 
 impl LazyCoherence {
-    /// Build from the Banshee configuration (costs converted to CPU cycles).
-    pub fn new(config: &BansheeConfig) -> Self {
-        let clk = config.cpu_clock;
-        LazyCoherence {
-            costs: CoherenceCosts {
-                flush_handler: clk.cycles_in_us(config.tag_buffer_flush_us),
-                shootdown_initiator: clk.cycles_in_us(config.shootdown_initiator_us),
-                shootdown_slave: clk.cycles_in_us(config.shootdown_slave_us),
-            },
-            flushes: 0,
-            pte_updates: 0,
-            last_flush_cycle: 0,
-            flush_interval_sum: 0,
-        }
-    }
-
-    /// The per-round costs in cycles.
-    pub fn costs(&self) -> CoherenceCosts {
-        self.costs
+    /// A mechanism that has not flushed yet.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Number of coherence rounds (tag-buffer flushes) so far.
@@ -108,9 +80,6 @@ impl LazyCoherence {
 
 impl Persist for LazyCoherence {
     fn save(&self, w: &mut SnapshotWriter) {
-        w.u64(self.costs.flush_handler);
-        w.u64(self.costs.shootdown_initiator);
-        w.u64(self.costs.shootdown_slave);
         w.u64(self.flushes);
         w.u64(self.pte_updates);
         w.u64(self.last_flush_cycle);
@@ -118,11 +87,6 @@ impl Persist for LazyCoherence {
     }
     fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
         Ok(LazyCoherence {
-            costs: CoherenceCosts {
-                flush_handler: r.u64()?,
-                shootdown_initiator: r.u64()?,
-                shootdown_slave: r.u64()?,
-            },
             flushes: r.u64()?,
             pte_updates: r.u64()?,
             last_flush_cycle: r.u64()?,
@@ -148,17 +112,8 @@ mod tests {
     }
 
     #[test]
-    fn costs_match_table3() {
-        let c = LazyCoherence::new(&BansheeConfig::paper_default());
-        // 20 µs at 2.7 GHz = 54,000 cycles; 4 µs = 10,800; 1 µs = 2,700.
-        assert_eq!(c.costs().flush_handler, 54_000);
-        assert_eq!(c.costs().shootdown_initiator, 10_800);
-        assert_eq!(c.costs().shootdown_slave, 2_700);
-    }
-
-    #[test]
     fn flush_produces_update_and_shootdown() {
-        let mut c = LazyCoherence::new(&BansheeConfig::paper_default());
+        let mut c = LazyCoherence::new();
         let effects = c.flush(entries(5), 1000);
         assert_eq!(effects.len(), 2);
         assert!(
@@ -171,7 +126,7 @@ mod tests {
 
     #[test]
     fn flush_interval_tracking() {
-        let mut c = LazyCoherence::new(&BansheeConfig::paper_default());
+        let mut c = LazyCoherence::new();
         c.flush(entries(1), 1_000_000);
         assert_eq!(c.mean_flush_interval(), 0.0);
         c.flush(entries(1), 3_000_000);

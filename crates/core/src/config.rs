@@ -1,55 +1,38 @@
 //! Banshee configuration (the paper's Table 3, plus scaling knobs).
 
-use banshee_common::{CyclesPerSec, MemSize, PAGE_SIZE};
+use banshee_common::{MemSize, PAGE_SIZE};
 use banshee_dcache::DCacheConfig;
 use serde::{Deserialize, Serialize};
 
-/// All Banshee tuning parameters. Defaults reproduce Table 3.
+/// The Banshee parameters the model reads. Defaults reproduce Table 3.
+///
+/// The remaining Table 3 values are named constants next to the code that
+/// uses them ([`TAG_BUFFER_WAYS`](crate::tag_buffer::TAG_BUFFER_WAYS),
+/// [`FLUSH_THRESHOLD`](crate::tag_buffer::FLUSH_THRESHOLD),
+/// [`CANDIDATES_PER_SET`](crate::metadata::CANDIDATES_PER_SET)). The OS
+/// costs of a coherence round (the 20 µs update routine and the 4 µs / 1 µs
+/// shootdowns) are `banshee_sim::SimConfig` fields, charged by the system
+/// simulator when it applies the round's side effects.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BansheeConfig {
     /// In-package DRAM capacity used as the cache.
     pub capacity: MemSize,
-    /// DRAM cache associativity (4 in the paper; Table 6 sweeps 1–8).
+    /// DRAM cache associativity (4 in the paper; Table 6 sweeps 1–8). Each
+    /// set's metadata tracks this many cached pages.
     pub ways: usize,
     /// Caching granularity in bytes: 4 KiB for regular pages, 2 MiB when the
     /// controller is instantiated for large pages (Section 4.3).
     pub page_bytes: u64,
     /// Number of memory controllers; each gets its own tag buffer.
     pub memory_controllers: usize,
-
-    // ---- Tag buffer (Section 3.3 / Table 3) ----
-    /// Entries per tag buffer (1024).
+    /// Entries per tag buffer (1024, Section 3.3 / Table 3).
     pub tag_buffer_entries: usize,
-    /// Tag buffer associativity (8).
-    pub tag_buffer_ways: usize,
-    /// Occupancy fraction of *remap* entries at which the software update is
-    /// triggered (0.7).
-    pub tag_buffer_flush_threshold: f64,
-    /// Cost of the software routine that drains tag buffers into the page
-    /// table, in microseconds (20 µs).
-    pub tag_buffer_flush_us: f64,
-    /// TLB shootdown cost for the initiating core, in microseconds (4 µs).
-    pub shootdown_initiator_us: f64,
-    /// TLB shootdown cost for every other core, in microseconds (1 µs).
-    pub shootdown_slave_us: f64,
-
-    // ---- Replacement policy (Section 4.2 / Table 3) ----
-    /// Width of each frequency counter in bits (5).
+    /// Width of each frequency counter in bits (5, Section 4.2 / Table 3).
     pub counter_bits: u32,
-    /// Number of cached-page entries tracked per set (equals `ways`).
-    pub cached_entries_per_set: usize,
-    /// Number of candidate-page entries tracked per set (5).
-    pub candidate_entries_per_set: usize,
     /// Sampling coefficient: the counter-update sample rate is
     /// `recent_miss_rate × sampling_coefficient` (0.1 for 4 KiB pages,
     /// 0.001 recommended for 2 MiB pages).
     pub sampling_coefficient: f64,
-    /// Replacement threshold override. `None` uses the paper's default of
-    /// `lines_per_page × sampling_coefficient / 2` (Section 4.2.2).
-    pub replacement_threshold: Option<f64>,
-
-    /// CPU clock used to convert the microsecond costs above into cycles.
-    pub cpu_clock: CyclesPerSec,
 }
 
 impl BansheeConfig {
@@ -61,17 +44,8 @@ impl BansheeConfig {
             page_bytes: PAGE_SIZE,
             memory_controllers: 4,
             tag_buffer_entries: 1024,
-            tag_buffer_ways: 8,
-            tag_buffer_flush_threshold: 0.7,
-            tag_buffer_flush_us: 20.0,
-            shootdown_initiator_us: 4.0,
-            shootdown_slave_us: 1.0,
             counter_bits: 5,
-            cached_entries_per_set: 4,
-            candidate_entries_per_set: 5,
             sampling_coefficient: 0.1,
-            replacement_threshold: None,
-            cpu_clock: CyclesPerSec::ghz(2.7),
         }
     }
 
@@ -81,7 +55,6 @@ impl BansheeConfig {
         BansheeConfig {
             capacity: config.capacity,
             ways: config.ways,
-            cached_entries_per_set: config.ways,
             memory_controllers: config.memory_controllers,
             ..Self::paper_default()
         }
@@ -118,10 +91,9 @@ impl BansheeConfig {
     }
 
     /// The replacement threshold of Section 4.2.2:
-    /// `page_size (in lines) × sampling_coefficient / 2` unless overridden.
+    /// `page_size (in lines) × sampling_coefficient / 2`.
     pub fn threshold(&self) -> f64 {
-        self.replacement_threshold
-            .unwrap_or(self.lines_per_page() as f64 * self.sampling_coefficient / 2.0)
+        self.lines_per_page() as f64 * self.sampling_coefficient / 2.0
     }
 
     // The three per-access address helpers below inline the power-of-two
@@ -181,12 +153,11 @@ mod tests {
         let c = BansheeConfig::paper_default();
         assert_eq!(c.ways, 4);
         assert_eq!(c.tag_buffer_entries, 1024);
-        assert_eq!(c.tag_buffer_ways, 8);
-        assert!((c.tag_buffer_flush_threshold - 0.7).abs() < 1e-12);
+        assert_eq!(crate::tag_buffer::TAG_BUFFER_WAYS, 8);
+        assert!((crate::tag_buffer::FLUSH_THRESHOLD - 0.7).abs() < 1e-12);
         assert_eq!(c.counter_bits, 5);
         assert_eq!(c.max_count(), 31);
-        assert_eq!(c.cached_entries_per_set, 4);
-        assert_eq!(c.candidate_entries_per_set, 5);
+        assert_eq!(crate::metadata::CANDIDATES_PER_SET, 5);
         assert!((c.sampling_coefficient - 0.1).abs() < 1e-12);
     }
 
@@ -195,11 +166,6 @@ mod tests {
         let c = BansheeConfig::paper_default();
         // 64 lines × 0.1 / 2 = 3.2
         assert!((c.threshold() - 3.2).abs() < 1e-9);
-        let override_cfg = BansheeConfig {
-            replacement_threshold: Some(7.0),
-            ..c
-        };
-        assert!((override_cfg.threshold() - 7.0).abs() < 1e-12);
     }
 
     #[test]
@@ -240,6 +206,6 @@ mod tests {
         let c = BansheeConfig::from_dcache(&d);
         assert_eq!(c.capacity, MemSize::mib(64));
         assert_eq!(c.ways, 4);
-        assert_eq!(c.cached_entries_per_set, 4);
+        assert_eq!(c.memory_controllers, d.memory_controllers);
     }
 }

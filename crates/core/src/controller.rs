@@ -23,8 +23,8 @@
 use crate::coherence::LazyCoherence;
 use crate::config::BansheeConfig;
 use crate::fbr::{FbrDecision, FrequencyReplacement};
-use crate::metadata::{MetadataEntry, MetadataTable, SET_METADATA_BYTES};
-use crate::tag_buffer::TagBuffer;
+use crate::metadata::{MetadataEntry, MetadataTable, CANDIDATES_PER_SET, SET_METADATA_BYTES};
+use crate::tag_buffer::{TagBuffer, FLUSH_THRESHOLD, TAG_BUFFER_WAYS};
 use banshee_common::persist::{Persist, SnapshotError, SnapshotReader, SnapshotWriter};
 use banshee_common::{
     Addr, Cycle, FnvHashMap, FnvHashSet, PageNum, StatSet, TrafficClass, CACHE_LINE_SIZE,
@@ -109,21 +109,11 @@ impl BansheeController {
         if variant == BansheeVariant::FbrNoSample {
             fbr.set_force_sample(true);
         }
-        let metadata = MetadataTable::new(
-            config.sets(),
-            config.cached_entries_per_set,
-            config.candidate_entries_per_set,
-        );
+        let metadata = MetadataTable::new(config.sets(), config.ways, CANDIDATES_PER_SET);
         let tag_buffers = (0..config.memory_controllers)
-            .map(|_| {
-                TagBuffer::new(
-                    config.tag_buffer_entries,
-                    config.tag_buffer_ways,
-                    config.tag_buffer_flush_threshold,
-                )
-            })
+            .map(|_| TagBuffer::new(config.tag_buffer_entries, TAG_BUFFER_WAYS, FLUSH_THRESHOLD))
             .collect();
-        let coherence = LazyCoherence::new(&config);
+        let coherence = LazyCoherence::new();
         BansheeController {
             variant,
             metadata,
@@ -715,7 +705,6 @@ mod tests {
         BansheeConfig {
             capacity: MemSize::kib(64), // 16 pages, 4 sets x 4 ways
             tag_buffer_entries: 64,
-            tag_buffer_ways: 8,
             ..BansheeConfig::paper_default()
         }
     }
@@ -844,7 +833,6 @@ mod tests {
         let cfg = BansheeConfig {
             capacity: MemSize::kib(16), // 4 pages, 1 set
             tag_buffer_entries: 64,
-            tag_buffer_ways: 8,
             ..BansheeConfig::paper_default()
         };
         let mut c = BansheeController::with_variant(cfg, BansheeVariant::FbrNoSample);
@@ -876,7 +864,6 @@ mod tests {
         let cfg = BansheeConfig {
             capacity: MemSize::mib(1),
             tag_buffer_entries: 16,
-            tag_buffer_ways: 8,
             memory_controllers: 1,
             ..BansheeConfig::paper_default()
         };
@@ -942,7 +929,6 @@ mod tests {
         let cfg = BansheeConfig {
             capacity: MemSize::mib(8), // 4 large pages
             tag_buffer_entries: 64,
-            tag_buffer_ways: 8,
             ..BansheeConfig::paper_default()
         }
         .for_large_pages();

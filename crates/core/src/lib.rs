@@ -40,7 +40,7 @@ pub mod metadata;
 pub mod tag_buffer;
 
 pub use banshee_dcache::DramCacheController;
-pub use coherence::{CoherenceCosts, LazyCoherence};
+pub use coherence::LazyCoherence;
 pub use config::BansheeConfig;
 pub use controller::{BansheeController, BansheeVariant};
 pub use fbr::{FbrDecision, FrequencyReplacement};

@@ -7,7 +7,7 @@
 //!
 //! * `ways` **cached** entries — the pages resident in the set, each with a
 //!   tag, a frequency counter, a valid bit and a dirty bit, and
-//! * `candidate` entries (5 by default) — pages that are *not* resident but
+//! * [`CANDIDATES_PER_SET`] `candidate` entries (5 in Table 3) — pages that are *not* resident but
 //!   whose frequency counters are being tracked so they can be promoted when
 //!   they become hot.
 //!
@@ -21,6 +21,9 @@ use serde::{Deserialize, Serialize};
 
 /// Size in bytes of one set's metadata record in the tag row.
 pub const SET_METADATA_BYTES: u64 = 32;
+
+/// Candidate (non-resident) pages tracked per set (5, Table 3).
+pub const CANDIDATES_PER_SET: usize = 5;
 
 /// One tracked page (cached or candidate).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

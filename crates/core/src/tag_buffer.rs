@@ -22,6 +22,13 @@ use banshee_common::persist::{Persist, SnapshotError, SnapshotReader, SnapshotWr
 use banshee_common::{FastDivMod, PageNum};
 use banshee_memhier::PteMapInfo;
 
+/// Tag buffer associativity (8, Table 3).
+pub const TAG_BUFFER_WAYS: usize = 8;
+
+/// Fraction of a tag buffer's entries holding remap entries at which the
+/// software update is triggered (0.7, Table 3).
+pub const FLUSH_THRESHOLD: f64 = 0.7;
+
 /// One tag buffer entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TagBufferEntry {
@@ -85,7 +92,8 @@ pub struct TagBuffer {
 
 impl TagBuffer {
     /// Build a tag buffer with `entries` total entries, `ways` associativity
-    /// and the given remap-occupancy flush threshold (0.7 in the paper).
+    /// and the given remap-occupancy flush threshold (the controller passes
+    /// [`TAG_BUFFER_WAYS`] and [`FLUSH_THRESHOLD`]).
     pub fn new(entries: usize, ways: usize, flush_threshold: f64) -> Self {
         assert!(entries > 0 && ways > 0, "tag buffer must have capacity");
         assert!(

@@ -19,8 +19,7 @@ use crate::design::DCacheConfig;
 use crate::plan::{DramOp, MemRequest, PlanSink, RequestKind, SideEffect};
 use banshee_common::persist::{Persist, SnapshotError, SnapshotReader, SnapshotWriter};
 use banshee_common::{
-    Cycle, CyclesPerSec, FnvHashMap, FnvHashSet, PageNum, ReplaySet, StatSet, TrafficClass,
-    PAGE_SIZE,
+    Cycle, FnvHashMap, FnvHashSet, PageNum, ReplaySet, StatSet, TrafficClass, CPU_CLOCK, PAGE_SIZE,
 };
 use banshee_memhier::PteMapInfo;
 
@@ -45,7 +44,6 @@ pub struct Hma {
     /// Demand-miss count of every page touched in the current interval,
     /// keyed by page number.
     counts: FnvHashMap<u64, u64>,
-    cpu_clock: CyclesPerSec,
     demand: DemandStats,
     migrations_in: u64,
     migrations_out: u64,
@@ -59,7 +57,6 @@ impl Hma {
             capacity_pages: config.capacity_pages().max(1),
             cached: ReplaySet::new(),
             counts: FnvHashMap::default(),
-            cpu_clock: CyclesPerSec::ghz(2.7),
             demand: DemandStats::new(4096),
             migrations_in: 0,
             migrations_out: 0,
@@ -193,7 +190,7 @@ impl DramCacheController for Hma {
         })
         .with_side_effect(SideEffect::TlbShootdown)
         .with_side_effect(SideEffect::StallAllCores {
-            cycles: self.cpu_clock.cycles_in_us(stall_us),
+            cycles: CPU_CLOCK.cycles_in_us(stall_us),
         });
         true
     }

@@ -1,6 +1,6 @@
 //! DRAM timing, scheduling and organization configuration.
 
-use banshee_common::{Cycle, CyclesPerSec, MemSize};
+use banshee_common::{Cycle, CyclesPerSec, MemSize, CPU_CLOCK};
 use serde::{Deserialize, Serialize};
 
 /// Raw DRAM timing parameters, expressed in DRAM *bus* clock cycles (the
@@ -88,7 +88,8 @@ pub struct DramConfig {
     pub bus_bytes: u64,
     /// DRAM bus clock frequency. Data rate is double (DDR).
     pub bus_clock: CyclesPerSec,
-    /// CPU core clock, used to convert DRAM timing into CPU cycles.
+    /// CPU core clock, used to convert DRAM timing into CPU cycles
+    /// ([`CPU_CLOCK`] by default).
     pub cpu_clock: CyclesPerSec,
     /// Minimum data-transfer granule in bytes (32 B for HBM-like links;
     /// this is why a 64 B line + 8 B tag costs 96 B).
@@ -129,7 +130,7 @@ impl DramConfig {
             row_buffer_bytes: 8 * 1024,
             bus_bytes: 16,
             bus_clock: CyclesPerSec::mhz(667.0),
-            cpu_clock: CyclesPerSec::ghz(2.7),
+            cpu_clock: CPU_CLOCK,
             min_transfer_bytes: 32,
             latency_scale: 1.0,
             timing: DramTiming::paper_default(),

@@ -100,17 +100,12 @@ impl SimConfig {
     /// cache sizes, bandwidth ratio, per-core MLP) while shrinking capacity
     /// and instruction counts so a full figure sweep runs in minutes.
     ///
-    /// `dram_cache_capacity` is the in-package capacity to model; the LLC is
-    /// scaled to 1/32 of it (the paper's 8 MiB : 1 GiB is 1/128, but a
-    /// too-small LLC under-uses the scaled traces).
+    /// `dram_cache_capacity` is the in-package capacity to model; the SRAM
+    /// hierarchy follows [`SimConfig::scaled_hierarchy`].
     pub fn scaled(design: DramCacheDesign, dram_cache_capacity: MemSize) -> Self {
         let mut cfg = Self::paper_default(design);
         cfg.dcache = DCacheConfig::scaled(dram_cache_capacity);
-        let llc = MemSize::bytes((dram_cache_capacity.as_bytes() / 32).max(256 * 1024));
-        cfg.hierarchy = HierarchyConfig {
-            llc_size: llc,
-            ..HierarchyConfig::paper_default(cfg.cores)
-        };
+        cfg.hierarchy = Self::scaled_hierarchy(cfg.cores, dram_cache_capacity);
         cfg.in_dram.capacity = dram_cache_capacity;
         cfg.warmup_instructions = 6_000_000;
         cfg.total_instructions = 10_000_000;
@@ -118,15 +113,23 @@ impl SimConfig {
         cfg
     }
 
+    /// The SRAM hierarchy of a scaled machine: Table 2's private L1 and L2
+    /// for each of `cores` cores, and a shared LLC at 1/32 of the DRAM cache,
+    /// at least 256 KiB (the paper's 8 MiB : 1 GiB is 1/128, but a too-small
+    /// LLC under-uses the scaled traces).
+    pub fn scaled_hierarchy(cores: usize, dram_cache_capacity: MemSize) -> HierarchyConfig {
+        HierarchyConfig {
+            llc_size: MemSize::bytes((dram_cache_capacity.as_bytes() / 32).max(256 * 1024)),
+            ..HierarchyConfig::paper_default(cores)
+        }
+    }
+
     /// A tiny configuration for unit/integration tests (seconds, not
     /// minutes).
     pub fn test_default(design: DramCacheDesign) -> Self {
         let mut cfg = Self::scaled(design, MemSize::mib(8));
         cfg.cores = 4;
-        cfg.hierarchy = HierarchyConfig {
-            llc_size: MemSize::kib(256),
-            ..HierarchyConfig::paper_default(4)
-        };
+        cfg.hierarchy = Self::scaled_hierarchy(cfg.cores, cfg.dcache.capacity);
         cfg.warmup_instructions = 150_000;
         cfg.total_instructions = 400_000;
         cfg.epoch_instructions = 100_000;
@@ -189,25 +192,24 @@ impl SimConfig {
     /// `banshee_workloads::ScenarioOverrides`) to this configuration.
     ///
     /// `dram_cache_mib` rescales the DRAM cache the same way
-    /// [`SimConfig::scaled`] does (capacity, in-package DRAM size and the
-    /// LLC at 1/32 of the cache), so a scenario can shrink or grow the
-    /// whole machine with one knob; the other overrides set their field
-    /// directly. Every overridden field is part of the derived `Debug`
+    /// [`SimConfig::scaled`] does (capacity and in-package DRAM size), so a
+    /// scenario can shrink or grow the whole machine with one knob. When it
+    /// or `cores` is set, the SRAM hierarchy is rebuilt with
+    /// [`SimConfig::scaled_hierarchy`] for the resulting core count and
+    /// capacity. The other overrides set their field directly. Every overridden field is part of the derived `Debug`
     /// representation, so [`SimConfig::cache_key_material`] keys overridden
     /// cells apart from default ones automatically.
     pub fn apply_scenario_overrides(&mut self, o: &banshee_workloads::ScenarioOverrides) {
         if let Some(mib) = o.dram_cache_mib {
             let capacity = MemSize::mib(mib);
-            self.dcache = banshee_dcache::DCacheConfig::scaled(capacity);
+            self.dcache = DCacheConfig::scaled(capacity);
             self.in_dram.capacity = capacity;
-            self.hierarchy.llc_size = MemSize::bytes((capacity.as_bytes() / 32).max(256 * 1024));
         }
         if let Some(cores) = o.cores {
             self.cores = cores;
-            self.hierarchy = HierarchyConfig {
-                llc_size: self.hierarchy.llc_size,
-                ..HierarchyConfig::paper_default(cores)
-            };
+        }
+        if o.dram_cache_mib.is_some() || o.cores.is_some() {
+            self.hierarchy = Self::scaled_hierarchy(self.cores, self.dcache.capacity);
         }
         if let Some(v) = o.total_instructions {
             self.total_instructions = v;

@@ -10,7 +10,7 @@ use banshee_common::telemetry::{
 };
 use banshee_common::{
     fnv1a64, Addr, Cycle, LineAddr, PageNum, SnapshotError, SnapshotHeader, SnapshotReader,
-    SnapshotWriter, StatSet, TrafficStats, XorShiftRng,
+    SnapshotWriter, StatSet, TrafficStats, XorShiftRng, CPU_CLOCK,
 };
 use banshee_dcache::{DramCacheController, MemRequest, PlanSink, SideEffect};
 use banshee_dram::DualDram;
@@ -505,7 +505,6 @@ impl System {
 
     /// Apply OS-level side effects requested by the controller.
     fn apply_side_effects(&mut self, effects: Vec<SideEffect>, core_id: usize, now: Cycle) {
-        let cpu = banshee_common::CyclesPerSec::ghz(2.7);
         if self.recorder.is_some() {
             // One batched event per application: an HMA epoch flushes
             // thousands of pages in a single effects vector, and per-page
@@ -542,15 +541,15 @@ impl System {
                     // The software routine runs on one randomly chosen core
                     // (Section 3.4); Table 5 sweeps this cost.
                     let victim = self.rng.next_below(self.cores.len() as u64) as usize;
-                    let cost = cpu.cycles_in_us(self.config.pte_update_cost_us);
+                    let cost = CPU_CLOCK.cycles_in_us(self.config.pte_update_cost_us);
                     self.cores[victim].advance(cost);
                 }
                 SideEffect::TlbShootdown => {
                     self.os_stats.inc("tlb_shootdowns");
                     self.design_event(EventKind::TlbShootdown, now, 1);
                     let initiator = self.rng.next_below(self.cores.len() as u64) as usize;
-                    let init_cost = cpu.cycles_in_us(self.config.shootdown_initiator_us);
-                    let slave_cost = cpu.cycles_in_us(self.config.shootdown_slave_us);
+                    let init_cost = CPU_CLOCK.cycles_in_us(self.config.shootdown_initiator_us);
+                    let slave_cost = CPU_CLOCK.cycles_in_us(self.config.shootdown_slave_us);
                     for (i, core) in self.cores.iter_mut().enumerate() {
                         core.tlb.shootdown();
                         core.advance(if i == initiator {
@@ -787,6 +786,53 @@ mod tests {
             only.speedup_over(&no) > 1.2,
             "CacheOnly should comfortably beat NoCache: {}",
             only.speedup_over(&no)
+        );
+    }
+
+    #[test]
+    fn coherence_round_charges_table3_costs_per_core() {
+        let config = SimConfig::test_default(DramCacheDesign::Banshee);
+        let pte = CPU_CLOCK.cycles_in_us(config.pte_update_cost_us);
+        let initiator = CPU_CLOCK.cycles_in_us(config.shootdown_initiator_us);
+        let slave = CPU_CLOCK.cycles_in_us(config.shootdown_slave_us);
+        // Table 3 at 2.7 GHz: 20 µs, 4 µs and 1 µs.
+        assert_eq!((pte, initiator, slave), (54_000, 10_800, 2_700));
+
+        let mut sys = System::new(config, &workload());
+        let before: Vec<Cycle> = sys.cores.iter().map(|c| c.clock).collect();
+        let updates = vec![(PageNum::new(7), banshee_memhier::PteMapInfo::cached_in(1))];
+        sys.apply_side_effects(
+            vec![
+                SideEffect::UpdatePageTable { updates },
+                SideEffect::TlbShootdown,
+            ],
+            0,
+            0,
+        );
+        let deltas: Vec<Cycle> = sys
+            .cores
+            .iter()
+            .zip(&before)
+            .map(|(c, b)| c.clock - b)
+            .collect();
+        // One core runs the update routine; the shootdown costs every core
+        // at least the slave cost, so a delta of at least the routine's cost
+        // carries it.
+        let routine_cores = deltas.iter().filter(|&&d| d >= pte).count();
+        assert_eq!(routine_cores, 1, "update routine charged as {deltas:?}");
+        let shootdown: Vec<Cycle> = deltas
+            .iter()
+            .map(|&d| if d >= pte { d - pte } else { d })
+            .collect();
+        assert_eq!(
+            shootdown.iter().filter(|&&d| d == initiator).count(),
+            1,
+            "one shootdown initiator expected in {deltas:?}"
+        );
+        assert_eq!(
+            shootdown.iter().filter(|&&d| d == slave).count(),
+            shootdown.len() - 1,
+            "every other core pays the slave cost: {deltas:?}"
         );
     }
 
