@@ -4,70 +4,46 @@
 //! Only [`crate::CacheHierarchy`] builds it, for the SRAM levels (L1D, L2,
 //! LLC). The DRAM-cache designs keep their own tag structures.
 //!
-//! These lookups run on **every** simulated access (L1 + L2 + LLC), so the
-//! layout is optimized for the simulator's hot path:
+//! These lookups run on **every** simulated access (L1 + L2 + LLC, plus the
+//! back-invalidations of every LLC eviction), and at the paper's footprints
+//! nearly all of them miss. So a set operation takes no data-dependent
+//! branch except hit/miss and free/full:
 //!
-//! * all ways live in one contiguous `Vec<Way>` with stride indexing
-//!   (`set * ways + way`), instead of a `Vec<Vec<Way>>` whose per-set heap
-//!   allocations scatter the tag arrays across the heap;
-//! * victim selection is O(1): a per-set valid bitmap finds free ways with
-//!   `trailing_zeros`, and an intrusive doubly-linked recency list (u8
-//!   next/prev indices embedded in each way) keeps exact LRU order — hits
-//!   rotate the list head, the victim is always the tail.
+//! * `tags` holds one tag per way, contiguous with stride indexing
+//!   (`set * ways + way`); an invalid way holds tag 0. A lookup ORs
+//!   `(tag == t) << way` over the whole set with no early exit, masks the
+//!   result with the set's valid bits and takes `trailing_zeros`.
+//! * `ranks` holds one recency rank per way: 0 is the most recently used.
+//!   The valid ways of a set hold exactly the ranks `0..n`; an invalid way
+//!   holds [`INVALID`]. A touch (hit or fill) ages every rank below the
+//!   touched way's old one and gives the touched way rank 0; a fill into a
+//!   free way uses old rank [`INVALID`], so every valid way ages. An
+//!   invalidation closes the gap above the removed rank.
+//! * per set, a valid and a dirty bitmap ([`SetMasks`]).
 //!
-//! Free ways are claimed lowest-index-first, and a full set evicts its
-//! least-recently-touched way. `tests/lru_model.rs` checks this against a
-//! timestamp-LRU reference model.
+//! Free ways are claimed lowest-index-first, and a full set evicts the way
+//! of rank `ways - 1`, the least recently touched. `tests/lru_model.rs`
+//! checks this against a timestamp-LRU reference model.
+//!
+//! Images keep the encoding of the intrusive recency list this layout
+//! replaced (see the [`Persist`] impl), and `cache_reference.rs` keeps that
+//! list-based cache for the differential tests.
 
 use banshee_common::persist::{Persist, SnapshotError, SnapshotReader, SnapshotWriter};
 use banshee_common::{FastDivMod, LineAddr};
 
-/// Sentinel for "no neighbour" in the intrusive recency list.
+/// Recency rank of an invalid way.
+const INVALID: u8 = u8::MAX;
+
+/// "No neighbour" in the image's recency-list encoding.
 const NONE: u8 = u8::MAX;
 
-/// One way of one set, with embedded recency-list links.
-#[derive(Debug, Clone, Copy)]
-struct Way {
-    valid: bool,
-    dirty: bool,
-    tag: u64,
-    /// Next way towards the LRU end (index within the set).
-    next: u8,
-    /// Previous way towards the MRU end (index within the set).
-    prev: u8,
-}
-
-impl Default for Way {
-    fn default() -> Self {
-        Way {
-            valid: false,
-            dirty: false,
-            tag: 0,
-            next: NONE,
-            prev: NONE,
-        }
-    }
-}
-
-/// Per-set replacement state: recency-list endpoints + valid bitmap.
-#[derive(Debug, Clone, Copy)]
-struct SetState {
-    /// Most-recently-used way.
-    head: u8,
-    /// Least-recently-used way — the victim.
-    tail: u8,
-    /// Bit `w` set ⇔ way `w` is valid.
-    valid_mask: u64,
-}
-
-impl Default for SetState {
-    fn default() -> Self {
-        SetState {
-            head: NONE,
-            tail: NONE,
-            valid_mask: 0,
-        }
-    }
+/// Per-set presence and dirtiness: bit `w` describes way `w`.
+#[derive(Debug, Clone, Copy, Default)]
+struct SetMasks {
+    valid: u64,
+    /// Always a subset of `valid`.
+    dirty: u64,
 }
 
 /// Outcome of a cache access.
@@ -97,11 +73,13 @@ impl AccessResult {
 /// A set-associative cache over 64-byte lines.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
-    /// All ways of all sets, contiguous: way `w` of set `s` lives at
-    /// `s * ways + w`.
-    ways_flat: Vec<Way>,
-    /// Per-set replacement state.
-    sets: Vec<SetState>,
+    /// The tag of every way, contiguous: way `w` of set `s` lives at
+    /// `s * ways + w`. 0 for an invalid way.
+    tags: Vec<u64>,
+    /// The recency rank of every way, indexed like `tags`.
+    ranks: Vec<u8>,
+    /// Per-set valid and dirty bitmaps.
+    masks: Vec<SetMasks>,
     ways: usize,
     /// Set-count divider (mask/shift for power-of-two set counts).
     set_div: FastDivMod,
@@ -110,13 +88,51 @@ pub struct SetAssocCache {
     writebacks: u64,
 }
 
+/// The low `ways` bits (`ways` in `1..=64`).
+#[inline]
+fn full_mask(ways: usize) -> u64 {
+    u64::MAX >> (64 - ways)
+}
+
+/// Bit `i` set ⇔ `values[i] == value`, computed over the whole slice.
+#[inline]
+fn eq_mask<T: Copy + PartialEq>(values: &[T], value: T) -> u64 {
+    values
+        .iter()
+        .enumerate()
+        .fold(0, |mask, (i, &v)| mask | u64::from(v == value) << i)
+}
+
+/// Make way `w` the most recently used: every rank below its old one ages
+/// by one. An old rank of [`INVALID`] (a fill into a free way) ages every
+/// valid way and leaves the invalid ones as they are.
+#[inline]
+fn touch(ranks: &mut [u8], w: usize) {
+    let old = ranks[w];
+    for r in ranks.iter_mut() {
+        *r += u8::from(*r < old);
+    }
+    ranks[w] = 0;
+}
+
+/// Take way `w` out of the recency order: every valid rank above its old
+/// one moves up by one.
+#[inline]
+fn forget(ranks: &mut [u8], w: usize) {
+    let old = ranks[w];
+    for r in ranks.iter_mut() {
+        *r -= u8::from((*r > old) & (*r != INVALID));
+    }
+    ranks[w] = INVALID;
+}
+
 impl SetAssocCache {
     /// Build a cache holding `capacity_bytes` of 64-byte lines with `ways`
     /// associativity.
     ///
     /// # Panics
     /// Panics if the geometry does not divide evenly, is empty, or exceeds
-    /// 64 ways (the per-set valid bitmap's width).
+    /// 64 ways (the per-set bitmaps' width).
     pub fn new(capacity_bytes: u64, ways: usize) -> Self {
         assert!(ways > 0, "cache needs at least one way");
         assert!(ways <= 64, "associativity above 64 ways is not supported");
@@ -128,8 +144,9 @@ impl SetAssocCache {
         );
         let num_sets = (lines / ways as u64) as usize;
         SetAssocCache {
-            ways_flat: vec![Way::default(); num_sets * ways],
-            sets: vec![SetState::default(); num_sets],
+            tags: vec![0; num_sets * ways],
+            ranks: vec![INVALID; num_sets * ways],
+            masks: vec![SetMasks::default(); num_sets],
             ways,
             set_div: FastDivMod::new(num_sets as u64),
             hits: 0,
@@ -140,7 +157,7 @@ impl SetAssocCache {
 
     /// Number of sets.
     pub fn num_sets(&self) -> usize {
-        self.sets.len()
+        self.masks.len()
     }
 
     /// Associativity.
@@ -184,97 +201,34 @@ impl SetAssocCache {
     }
 
     fn line_from(&self, set: usize, tag: u64) -> LineAddr {
-        LineAddr::new(tag * self.sets.len() as u64 + set as u64)
+        LineAddr::new(tag * self.masks.len() as u64 + set as u64)
     }
 
-    /// All ways valid in this set?
+    /// The set of `line`, the first way index of that set, the tag of
+    /// `line`, and the bit of the valid way holding it (0 if none).
     #[inline]
-    fn full_mask(&self) -> u64 {
-        if self.ways == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.ways) - 1
-        }
-    }
-
-    /// Find the way holding `tag` in `set`, if any.
-    #[inline]
-    fn find_way(&self, set: usize, tag: u64) -> Option<usize> {
+    fn lookup(&self, line: LineAddr) -> (usize, usize, u64, u64) {
+        let set = self.set_index(line);
         let base = set * self.ways;
-        let ways = &self.ways_flat[base..base + self.ways];
-        ways.iter().position(|w| w.valid && w.tag == tag)
-    }
-
-    // ---- Intrusive recency list -----------------------------------------
-
-    /// Detach way `w` from its set's recency list.
-    #[inline]
-    fn unlink(&mut self, set: usize, w: u8) {
-        let base = set * self.ways;
-        let (prev, next) = {
-            let way = &self.ways_flat[base + w as usize];
-            (way.prev, way.next)
-        };
-        if prev != NONE {
-            self.ways_flat[base + prev as usize].next = next;
-        } else {
-            self.sets[set].head = next;
-        }
-        if next != NONE {
-            self.ways_flat[base + next as usize].prev = prev;
-        } else {
-            self.sets[set].tail = prev;
-        }
-        let way = &mut self.ways_flat[base + w as usize];
-        way.prev = NONE;
-        way.next = NONE;
-    }
-
-    /// Attach way `w` at the MRU end of its set's recency list.
-    #[inline]
-    fn push_front(&mut self, set: usize, w: u8) {
-        let base = set * self.ways;
-        let old_head = self.sets[set].head;
-        {
-            let way = &mut self.ways_flat[base + w as usize];
-            way.prev = NONE;
-            way.next = old_head;
-        }
-        if old_head != NONE {
-            self.ways_flat[base + old_head as usize].prev = w;
-        } else {
-            self.sets[set].tail = w;
-        }
-        self.sets[set].head = w;
-    }
-
-    /// Rotate way `w` to the MRU end (LRU hit promotion).
-    #[inline]
-    fn move_to_front(&mut self, set: usize, w: u8) {
-        if self.sets[set].head != w {
-            self.unlink(set, w);
-            self.push_front(set, w);
-        }
+        let tag = self.tag_of(line);
+        let matches = eq_mask(&self.tags[base..base + self.ways], tag);
+        (set, base, tag, matches & self.masks[set].valid)
     }
 
     /// Look up a line without changing any state.
     pub fn probe(&self, line: LineAddr) -> bool {
-        let set = self.set_index(line);
-        let tag = self.tag_of(line);
-        self.find_way(set, tag).is_some()
+        self.lookup(line).3 != 0
     }
 
     /// Access `line`; on a miss, allocate it (possibly evicting a victim).
     /// `write` marks the line dirty.
     pub fn access(&mut self, line: LineAddr, write: bool) -> AccessResult {
-        let set_idx = self.set_index(line);
-        let tag = self.tag_of(line);
-        let base = set_idx * self.ways;
-
-        // Hit path.
-        if let Some(w) = self.find_way(set_idx, tag) {
-            self.ways_flat[base + w].dirty |= write;
-            self.move_to_front(set_idx, w as u8);
+        let (set, base, tag, hit) = self.lookup(line);
+        let end = base + self.ways;
+        if hit != 0 {
+            let w = hit.trailing_zeros() as usize;
+            self.masks[set].dirty |= u64::from(write) << w;
+            touch(&mut self.ranks[base..end], w);
             self.hits += 1;
             return AccessResult {
                 hit: true,
@@ -285,49 +239,36 @@ impl SetAssocCache {
         }
 
         self.misses += 1;
-
-        // Miss: pick a victim way.
-        let victim_idx = self.pick_victim(set_idx);
-        let victim = self.ways_flat[base + victim_idx];
-        let (writeback, evicted_clean) = if victim.valid {
-            let victim_line = self.line_from(set_idx, victim.tag);
-            self.unlink(set_idx, victim_idx as u8);
-            if victim.dirty {
-                self.writebacks += 1;
-                (Some(victim_line), None)
-            } else {
-                (None, Some(victim_line))
-            }
+        let SetMasks { valid, dirty } = self.masks[set];
+        // Prefer the lowest-index free way; otherwise evict the least
+        // recently touched one.
+        let free = !valid & full_mask(self.ways);
+        let (w, writeback, evicted_clean) = if free != 0 {
+            (free.trailing_zeros() as usize, None, None)
         } else {
-            (None, None)
+            let lru = eq_mask(&self.ranks[base..end], (self.ways - 1) as u8);
+            let w = lru.trailing_zeros() as usize;
+            let victim = self.line_from(set, self.tags[base + w]);
+            let victim_dirty = dirty >> w & 1 != 0;
+            self.writebacks += u64::from(victim_dirty);
+            (
+                w,
+                victim_dirty.then_some(victim),
+                (!victim_dirty).then_some(victim),
+            )
         };
-
-        self.ways_flat[base + victim_idx] = Way {
-            valid: true,
-            dirty: write,
-            tag,
-            next: NONE,
-            prev: NONE,
+        let bit = 1u64 << w;
+        self.tags[base + w] = tag;
+        self.masks[set] = SetMasks {
+            valid: valid | bit,
+            dirty: dirty & !bit | u64::from(write) << w,
         };
-        self.sets[set_idx].valid_mask |= 1u64 << victim_idx;
-        self.push_front(set_idx, victim_idx as u8);
-
+        touch(&mut self.ranks[base..end], w);
         AccessResult {
             hit: false,
             writeback,
             evicted_clean,
-            slot: base + victim_idx,
-        }
-    }
-
-    fn pick_victim(&self, set_idx: usize) -> usize {
-        // Prefer the lowest-index invalid way; otherwise evict the
-        // recency-list tail, the least-recently-touched way.
-        let free = !self.sets[set_idx].valid_mask & self.full_mask();
-        if free != 0 {
-            free.trailing_zeros() as usize
-        } else {
-            self.sets[set_idx].tail as usize
+            slot: base + w,
         }
     }
 
@@ -340,104 +281,97 @@ impl SetAssocCache {
     /// Remove a line if present; returns the global way index it occupied
     /// (the [`AccessResult::slot`] key) and its dirty bit.
     pub(crate) fn invalidate_slot(&mut self, line: LineAddr) -> Option<(usize, bool)> {
-        let set_idx = self.set_index(line);
-        let tag = self.tag_of(line);
-        let w = self.find_way(set_idx, tag)?;
-        let slot = set_idx * self.ways + w;
-        let dirty = self.ways_flat[slot].dirty;
-        self.unlink(set_idx, w as u8);
-        self.ways_flat[slot] = Way::default();
-        self.sets[set_idx].valid_mask &= !(1u64 << w);
-        Some((slot, dirty))
+        let (set, base, _, hit) = self.lookup(line);
+        if hit == 0 {
+            return None;
+        }
+        let w = hit.trailing_zeros() as usize;
+        let masks = &mut self.masks[set];
+        let dirty = masks.dirty & hit != 0;
+        masks.valid &= !hit;
+        masks.dirty &= !hit;
+        self.tags[base + w] = 0;
+        forget(&mut self.ranks[base..base + self.ways], w);
+        Some((base + w, dirty))
     }
 
     /// Mark a resident line dirty (used when an upper level writes back into
     /// this level). Returns false if the line is not resident.
     pub fn mark_dirty(&mut self, line: LineAddr) -> bool {
-        let set_idx = self.set_index(line);
-        let tag = self.tag_of(line);
-        match self.find_way(set_idx, tag) {
-            Some(w) => {
-                self.ways_flat[set_idx * self.ways + w].dirty = true;
-                true
-            }
-            None => false,
-        }
+        let (set, _, _, hit) = self.lookup(line);
+        self.masks[set].dirty |= hit;
+        hit != 0
     }
 
     /// Number of valid lines currently resident (O(sets); intended for tests
     /// and assertions, not the hot path).
     pub fn occupancy(&self) -> usize {
-        self.sets
+        self.masks
             .iter()
-            .map(|s| s.valid_mask.count_ones() as usize)
+            .map(|m| m.valid.count_ones() as usize)
             .sum()
     }
 
     /// Every resident line with its global way index (tests only).
     #[cfg(test)]
     pub(crate) fn resident_lines(&self) -> impl Iterator<Item = (usize, LineAddr)> + '_ {
-        self.ways_flat
-            .iter()
-            .enumerate()
-            .filter(|(_, way)| way.valid)
-            .map(|(slot, way)| (slot, self.line_from(slot / self.ways, way.tag)))
+        (0..self.tags.len())
+            .filter(|&slot| self.masks[slot / self.ways].valid >> (slot % self.ways) & 1 != 0)
+            .map(|slot| (slot, self.line_from(slot / self.ways, self.tags[slot])))
     }
 }
 
-impl Persist for Way {
-    fn save(&self, w: &mut SnapshotWriter) {
-        w.bool(self.valid);
-        w.bool(self.dirty);
-        w.u64(self.tag);
-        w.u8(self.next);
-        w.u8(self.prev);
-    }
-    fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Way {
-            valid: r.bool()?,
-            dirty: r.bool()?,
-            tag: r.u64()?,
-            next: r.u8()?,
-            prev: r.u8()?,
-        })
-    }
-}
-
-impl Persist for SetState {
-    fn save(&self, w: &mut SnapshotWriter) {
-        w.u8(self.head);
-        w.u8(self.tail);
-        w.u64(self.valid_mask);
-    }
-    fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(SetState {
-            head: r.u8()?,
-            tail: r.u8()?,
-            valid_mask: r.u64()?,
-        })
-    }
-}
-
-// The full replacement state round-trips: every way with its recency-list
-// links, every set's list endpoints and valid bitmap, and the hit/miss
-// counters. Geometry is stored too, so a restored cache is self-contained;
-// `set_div` is derived from it.
+// The image encodes the replacement state as the intrusive recency list the
+// rank layout replaced, so images did not change with it: per way `valid,
+// dirty, tag, next, prev` (the list neighbours towards the LRU and the MRU
+// end, `NONE` at either end), then per set `head, tail, valid_mask` (the MRU
+// and the LRU way), then the hit/miss/writeback counters. An invalid way is
+// `false, false, 0, NONE, NONE`. Geometry is stored too, so a restored cache
+// is self-contained; `set_div` is derived from it.
 impl Persist for SetAssocCache {
     fn save(&self, w: &mut SnapshotWriter) {
-        w.usize(self.sets.len());
+        w.usize(self.num_sets());
         w.usize(self.ways);
-        for way in &self.ways_flat {
-            way.save(w);
+        let mut ends = Vec::with_capacity(self.num_sets());
+        for (set, masks) in self.masks.iter().enumerate() {
+            let base = set * self.ways;
+            let ranks = &self.ranks[base..base + self.ways];
+            // `order[rank + 1]` is the way of that rank. Before rank 0 and
+            // past the last valid rank it is `NONE`, which ends the list.
+            let mut order = [NONE; 66];
+            for (way, &rank) in ranks.iter().enumerate() {
+                if rank != INVALID {
+                    order[rank as usize + 1] = way as u8;
+                }
+            }
+            for (way, &rank) in ranks.iter().enumerate() {
+                let valid = rank != INVALID;
+                let (next, prev) = if valid {
+                    (order[rank as usize + 2], order[rank as usize])
+                } else {
+                    (NONE, NONE)
+                };
+                w.bool(valid);
+                w.bool(masks.dirty >> way & 1 != 0);
+                w.u64(self.tags[base + way]);
+                w.u8(next);
+                w.u8(prev);
+            }
+            ends.push((order[1], order[masks.valid.count_ones() as usize]));
         }
-        for set in &self.sets {
-            set.save(w);
+        for ((head, tail), masks) in ends.into_iter().zip(&self.masks) {
+            w.u8(head);
+            w.u8(tail);
+            w.u64(masks.valid);
         }
         w.u64(self.hits);
         w.u64(self.misses);
         w.u64(self.writebacks);
     }
 
+    /// Rejects, as [`SnapshotError::Corrupt`], every image that is not one
+    /// list per set covering exactly its valid ways, so that a restored
+    /// cache keeps the rank invariants and saves back to the same bytes.
     fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
         let num_sets = r.usize()?;
         let ways = r.usize()?;
@@ -449,25 +383,75 @@ impl Persist for SetAssocCache {
         let total_ways = num_sets
             .checked_mul(ways)
             .ok_or_else(|| SnapshotError::Corrupt("cache geometry overflows".to_string()))?;
-        // Each way encodes to at least 12 bytes; reject counts the image
-        // cannot possibly hold before allocating.
+        // Each way encodes to 12 bytes; reject counts the image cannot
+        // possibly hold before allocating.
         if total_ways.saturating_mul(12) > r.remaining() {
             return Err(SnapshotError::Corrupt(format!(
                 "cache claims {total_ways} way(s) but only {} byte(s) remain",
                 r.remaining()
             )));
         }
-        let mut ways_flat = Vec::with_capacity(total_ways);
-        for _ in 0..total_ways {
-            ways_flat.push(Way::restore(r)?);
+        let corrupt =
+            |set: usize, what: &str| SnapshotError::Corrupt(format!("cache set {set}: {what}"));
+        let mut tags = Vec::with_capacity(total_ways);
+        let mut links = Vec::with_capacity(total_ways);
+        let mut masks = vec![SetMasks::default(); num_sets];
+        for slot in 0..total_ways {
+            let (set, way) = (slot / ways, slot % ways);
+            let (valid, dirty, tag) = (r.bool()?, r.bool()?, r.u64()?);
+            let (next, prev) = (r.u8()?, r.u8()?);
+            if !valid && (dirty || tag != 0 || next != NONE || prev != NONE) {
+                return Err(corrupt(
+                    set,
+                    &format!("invalid way {way} carries a dirty bit, tag or link"),
+                ));
+            }
+            masks[set].valid |= u64::from(valid) << way;
+            masks[set].dirty |= u64::from(dirty) << way;
+            tags.push(tag);
+            links.push((next, prev));
         }
-        let mut sets = Vec::with_capacity(num_sets);
-        for _ in 0..num_sets {
-            sets.push(SetState::restore(r)?);
+        // Walk each list from its head: the k-th way on it gets rank k.
+        let mut ranks = vec![INVALID; total_ways];
+        for (set, masks) in masks.iter().enumerate() {
+            let (head, tail, valid_mask) = (r.u8()?, r.u8()?, r.u64()?);
+            let base = set * ways;
+            let (mut listed, mut prev, mut way, mut rank) = (0u64, NONE, head, 0u8);
+            while way != NONE {
+                let w = way as usize;
+                if w >= ways {
+                    return Err(corrupt(set, &format!("recency list names way {way}")));
+                }
+                if listed >> w & 1 != 0 {
+                    return Err(corrupt(set, "recency list has a cycle"));
+                }
+                if masks.valid >> w & 1 == 0 {
+                    return Err(corrupt(set, &format!("invalid way {way} is linked")));
+                }
+                let (next, back) = links[base + w];
+                if back != prev {
+                    return Err(corrupt(set, &format!("way {way} has a broken prev link")));
+                }
+                listed |= 1 << w;
+                ranks[base + w] = rank;
+                rank += 1;
+                prev = way;
+                way = next;
+            }
+            if listed != masks.valid {
+                return Err(corrupt(set, "a valid way is missing from the recency list"));
+            }
+            if tail != prev {
+                return Err(corrupt(set, "tail disagrees with the recency list"));
+            }
+            if valid_mask != masks.valid {
+                return Err(corrupt(set, "valid mask disagrees with the ways"));
+            }
         }
         Ok(SetAssocCache {
-            ways_flat,
-            sets,
+            tags,
+            ranks,
+            masks,
             ways,
             set_div: FastDivMod::new(num_sets as u64),
             hits: r.u64()?,
@@ -478,8 +462,14 @@ impl Persist for SetAssocCache {
 }
 
 #[cfg(test)]
+#[path = "cache_reference.rs"]
+mod reference;
+
+#[cfg(test)]
 mod tests {
+    use super::reference::ReferenceCache;
     use super::*;
+    use proptest::collection::vec;
     use proptest::prelude::*;
 
     fn small_cache() -> SetAssocCache {
@@ -594,36 +584,48 @@ mod tests {
         assert_eq!(res.writeback, Some(a));
     }
 
-    /// The intrusive list and the valid bitmap always agree.
-    fn assert_list_consistent(c: &SetAssocCache) {
-        for set in 0..c.num_sets() {
-            let base = set * c.ways;
-            let mut seen = 0u64;
-            let mut w = c.sets[set].head;
-            let mut prev = NONE;
-            let mut steps = 0;
-            while w != NONE {
-                assert!(steps <= c.ways, "cycle in recency list");
-                let way = &c.ways_flat[base + w as usize];
-                assert!(way.valid, "invalid way linked in recency list");
-                assert_eq!(way.prev, prev, "broken prev link");
-                seen |= 1u64 << w;
-                prev = w;
-                w = way.next;
-                steps += 1;
+    /// The mask and rank invariants: valid bits name real ways, dirty bits
+    /// only valid ones; an invalid way holds tag 0 and rank `INVALID`; the
+    /// valid ways of a set hold the distinct ranks `0..n`, so exactly the
+    /// ranks `0..n`.
+    fn check_invariants(c: &SetAssocCache) -> Result<(), String> {
+        for (set, masks) in c.masks.iter().enumerate() {
+            if masks.valid & !full_mask(c.ways) != 0 {
+                return Err(format!("set {set}: valid bit past way {}", c.ways));
             }
-            assert_eq!(c.sets[set].tail, prev, "tail out of sync");
-            assert_eq!(
-                seen, c.sets[set].valid_mask,
-                "recency list disagrees with valid bitmap in set {set}"
-            );
+            if masks.dirty & !masks.valid != 0 {
+                return Err(format!("set {set}: dirty bit on an invalid way"));
+            }
+            let len = masks.valid.count_ones();
+            let mut ranks_seen = 0u64;
+            for way in 0..c.ways {
+                let slot = set * c.ways + way;
+                let (tag, rank) = (c.tags[slot], c.ranks[slot]);
+                if masks.valid >> way & 1 == 0 {
+                    if (tag, rank) != (0, INVALID) {
+                        return Err(format!("set {set}: invalid way {way} holds {tag}/{rank}"));
+                    }
+                } else if u32::from(rank) >= len || ranks_seen >> rank & 1 != 0 {
+                    return Err(format!("set {set}: way {way} has rank {rank} of {len}"));
+                } else {
+                    ranks_seen |= 1 << rank;
+                }
+            }
         }
+        Ok(())
     }
 
-    fn snapshot_of(c: &SetAssocCache) -> Vec<u8> {
+    fn snapshot_of(c: &impl Persist) -> Vec<u8> {
         let mut w = banshee_common::SnapshotWriter::new();
         c.save(&mut w);
         w.into_bytes()
+    }
+
+    fn restore<T: Persist>(bytes: &[u8]) -> T {
+        let mut r = banshee_common::SnapshotReader::new(bytes);
+        let back = T::restore(&mut r).expect("image written by a cache restores");
+        assert!(r.is_exhausted());
+        back
     }
 
     #[test]
@@ -646,13 +648,52 @@ mod tests {
         assert!(SetAssocCache::restore(&mut r).is_err());
     }
 
+    /// Every image the rank layout cannot represent is a typed error. The
+    /// image is one set of 4 ways holding lines 0, 1 and 2 in ways 0, 1
+    /// and 2: the list runs 2 → 1 → 0 and way 3 is free.
+    #[test]
+    fn restore_rejects_images_that_are_not_one_list_of_the_valid_ways() {
+        let mut c = SetAssocCache::new(4 * 64, 4);
+        for line in 0..3 {
+            c.access(LineAddr::new(line), false);
+        }
+        let image = snapshot_of(&c);
+        restore::<SetAssocCache>(&image);
+        // Byte offsets of a way's fields and of the set's fields.
+        let way = |w: usize, field: usize| 16 + 12 * w + field;
+        let (valid, dirty, tag, next, prev) = (0, 1, 2, 10, 11);
+        let (head, tail, mask) = (16 + 12 * 4, 16 + 12 * 4 + 1, 16 + 12 * 4 + 2);
+        let cases: [(&str, usize, u8); 11] = [
+            ("cycle", way(0, next), 2),
+            ("out-of-range next", way(1, next), 4),
+            ("out-of-range head", head, 7),
+            ("valid way missing from the list", way(3, valid), 1),
+            ("invalid way linked into the list", way(0, next), 3),
+            ("broken prev link", way(1, prev), 0),
+            ("tail disagrees", tail, 1),
+            ("valid mask disagrees", mask, 0b1111),
+            ("dirty invalid way", way(3, dirty), 1),
+            ("tagged invalid way", way(3, tag), 5),
+            ("linked invalid way", way(3, next), 0),
+        ];
+        for (what, offset, value) in cases {
+            let mut bad = image.clone();
+            bad[offset] = value;
+            let mut r = banshee_common::SnapshotReader::new(&bad);
+            match SetAssocCache::restore(&mut r) {
+                Err(SnapshotError::Corrupt(_)) => {}
+                other => panic!("{what}: expected a corrupt-image error, got {other:?}"),
+            }
+        }
+    }
+
     proptest! {
         /// save → restore → save is byte-identical and the restored cache
         /// behaves identically under further accesses.
         #[test]
         fn prop_persist_round_trip(
-            ops in proptest::collection::vec((0u64..512, 0u8..3), 0..200),
-            tail in proptest::collection::vec((0u64..512, 0u8..2), 0..50),
+            ops in vec((0u64..512, 0u8..3), 0..200),
+            tail in vec((0u64..512, 0u8..2), 0..50),
         ) {
             let mut c = SetAssocCache::new(2048, 4);
             for (l, op) in ops {
@@ -663,9 +704,7 @@ mod tests {
                 }
             }
             let bytes = snapshot_of(&c);
-            let mut r = banshee_common::SnapshotReader::new(&bytes);
-            let mut back = SetAssocCache::restore(&mut r).unwrap();
-            prop_assert!(r.is_exhausted());
+            let mut back: SetAssocCache = restore(&bytes);
             prop_assert_eq!(snapshot_of(&back), bytes);
             for (l, write) in tail {
                 prop_assert_eq!(
@@ -680,14 +719,14 @@ mod tests {
 
         /// Occupancy never exceeds capacity and accounting is consistent.
         #[test]
-        fn prop_occupancy_bounded(lines in proptest::collection::vec(0u64..4096, 1..300)) {
+        fn prop_occupancy_bounded(lines in vec(0u64..4096, 1..300)) {
             let mut c = SetAssocCache::new(4096, 4);
             let capacity = c.num_sets() * c.ways();
             for (i, l) in lines.iter().enumerate() {
                 c.access(LineAddr::new(*l), i % 3 == 0);
                 prop_assert!(c.occupancy() <= capacity);
             }
-            assert_list_consistent(&c);
+            prop_assert_eq!(check_invariants(&c), Ok(()));
             prop_assert_eq!(c.hits() + c.misses(), lines.len() as u64);
         }
 
@@ -702,7 +741,7 @@ mod tests {
         /// A dirty line is never silently dropped: it either stays resident or
         /// appears as a writeback.
         #[test]
-        fn prop_dirty_lines_never_lost(lines in proptest::collection::vec(0u64..512, 1..400)) {
+        fn prop_dirty_lines_never_lost(lines in vec(0u64..512, 1..400)) {
             let mut c = SetAssocCache::new(2048, 2);
             let dirty_line = LineAddr::new(1000);
             c.access(dirty_line, true);
@@ -716,21 +755,105 @@ mod tests {
             prop_assert!(written_back || c.probe(dirty_line));
         }
 
-        /// The recency list survives arbitrary access/invalidate
-        /// interleavings.
+        /// The mask and rank invariants hold after every step of arbitrary
+        /// access/invalidate/mark-dirty interleavings.
         #[test]
-        fn prop_list_consistent_under_churn(
-            ops in proptest::collection::vec((0u64..256, 0u8..3), 1..400),
+        fn prop_rank_invariants_hold_under_churn(
+            ops in vec((0u64..256, 0u8..4), 1..400),
         ) {
             let mut c = SetAssocCache::new(2048, 4);
             for (l, op) in ops {
+                let line = LineAddr::new(l);
                 match op {
-                    0 => { c.access(LineAddr::new(l), false); }
-                    1 => { c.access(LineAddr::new(l), true); }
+                    0 | 1 => { c.access(line, op == 1); }
+                    2 => { c.invalidate(line); }
+                    _ => { c.mark_dirty(line); }
+                }
+                prop_assert_eq!(check_invariants(&c), Ok(()));
+            }
+        }
+
+        /// Restoring a mutated image never panics. What it accepts keeps
+        /// the invariants and saves back to the bytes it read.
+        #[test]
+        fn prop_restore_never_panics_on_mutated_images(
+            ops in vec((0u64..64, 0u8..3), 0..120),
+            edits in vec((any::<usize>(), 0u8..4, any::<u8>()), 1..4),
+        ) {
+            let mut c = SetAssocCache::new(4 * 4 * 64, 4);
+            for (l, op) in ops {
+                match op {
+                    0 | 1 => { c.access(LineAddr::new(l), op == 1); }
                     _ => { c.invalidate(LineAddr::new(l)); }
                 }
             }
-            assert_list_consistent(&c);
+            let mut bytes = snapshot_of(&c);
+            for (at, kind, raw) in edits {
+                // Small values and `NONE` make plausible flags, way indices
+                // and links, so most edits reach the list checks.
+                let len = bytes.len();
+                bytes[at % len] = match kind {
+                    0 => raw,
+                    1 => raw % 2,
+                    2 => raw % 8,
+                    _ => NONE,
+                };
+            }
+            let mut r = banshee_common::SnapshotReader::new(&bytes);
+            if let Ok(back) = SetAssocCache::restore(&mut r) {
+                let read = bytes.len() - r.remaining();
+                prop_assert_eq!(check_invariants(&back), Ok(()));
+                prop_assert_eq!(snapshot_of(&back), bytes[..read].to_vec());
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The rank cache matches the list-based reference at 1 to 64 ways:
+        /// every result and, after every step, every image byte. Halfway
+        /// through, each side resumes from the other's image.
+        #[test]
+        fn prop_matches_reference_cache(
+            shape in (0usize..6, 0u32..3),
+            ops in vec((0u8..8, any::<u64>()), 1..500),
+            switch_at in 0usize..500,
+        ) {
+            let ways = [1, 2, 4, 8, 16, 64][shape.0];
+            let sets = 1usize << shape.1;
+            let capacity = (sets * ways * 64) as u64;
+            // Three times the capacity in distinct lines: streams both hit
+            // and evict.
+            let lines = 3 * (sets * ways) as u64;
+            let mut cache = SetAssocCache::new(capacity, ways);
+            let mut reference = ReferenceCache::new(capacity, ways);
+            for (step, (op, raw)) in ops.into_iter().enumerate() {
+                if step == switch_at {
+                    let image = snapshot_of(&reference);
+                    reference = restore(&snapshot_of(&cache));
+                    cache = restore(&image);
+                }
+                let line = LineAddr::new(raw % lines);
+                match op {
+                    0..=3 => prop_assert_eq!(
+                        cache.access(line, op % 2 == 1),
+                        reference.access(line, op % 2 == 1)
+                    ),
+                    4 | 5 => prop_assert_eq!(
+                        cache.invalidate_slot(line),
+                        reference.invalidate_slot(line)
+                    ),
+                    6 => prop_assert_eq!(cache.mark_dirty(line), reference.mark_dirty(line)),
+                    _ => prop_assert_eq!(cache.probe(line), reference.probe(line)),
+                }
+                prop_assert_eq!(snapshot_of(&cache), snapshot_of(&reference));
+            }
+            prop_assert_eq!(check_invariants(&cache), Ok(()));
+            prop_assert_eq!(
+                (cache.hits(), cache.misses(), cache.writebacks()),
+                (reference.hits(), reference.misses(), reference.writebacks())
+            );
         }
     }
 }

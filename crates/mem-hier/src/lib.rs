@@ -2,10 +2,9 @@
 //!
 //! This crate models everything between the core and the memory controllers:
 //!
-//! * [`cache`] — a generic set-associative, tag-only cache model with
-//!   pluggable replacement (LRU / FIFO / random). Used for the L1D, L2 and
-//!   the shared LLC, and reused by the DRAM-cache designs for their own
-//!   tag structures.
+//! * [`cache`] — a generic set-associative, tag-only LRU cache model, used
+//!   for the L1D, L2 and the shared LLC. The DRAM-cache designs keep their
+//!   own tag structures.
 //! * [`hierarchy`] — the paper's 3-level on-chip hierarchy (32 KiB L1,
 //!   128 KiB L2 private per core, 8 MiB shared 16-way LLC) with inclusive
 //!   semantics and dirty-eviction propagation. LLC misses and LLC dirty

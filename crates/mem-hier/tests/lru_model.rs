@@ -1,6 +1,6 @@
 //! Differential test of `SetAssocCache` against a reference LRU model.
 //!
-//! The cache keeps LRU order in an intrusive recency list. The model below
+//! The cache keeps LRU order as per-way recency ranks. The model below
 //! keeps it the plain way: one `Vec` per set whose entries carry the time
 //! they were last touched, and a full set evicts the entry with the oldest
 //! timestamp. Random `access`/`invalidate`/`mark_dirty` streams go through
