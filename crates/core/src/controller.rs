@@ -26,9 +26,7 @@ use crate::fbr::{FbrDecision, FrequencyReplacement};
 use crate::metadata::{MetadataEntry, MetadataTable, CANDIDATES_PER_SET, SET_METADATA_BYTES};
 use crate::tag_buffer::{TagBuffer, FLUSH_THRESHOLD, TAG_BUFFER_WAYS};
 use banshee_common::persist::{Persist, SnapshotError, SnapshotReader, SnapshotWriter};
-use banshee_common::{
-    Addr, Cycle, FnvHashMap, FnvHashSet, PageNum, StatSet, TrafficClass, CACHE_LINE_SIZE,
-};
+use banshee_common::{Addr, Cycle, PageNum, StatSet, TrafficClass, CACHE_LINE_SIZE};
 use banshee_dcache::{
     DCacheConfig, DemandStats, DramCacheController, DramOp, MemRequest, PlanSink, RequestKind,
 };
@@ -59,29 +57,22 @@ impl BansheeVariant {
     }
 }
 
-/// Per-resident-page bookkeeping the controller keeps in SRAM-free
-/// simulation state (dirty lines and LRU stamps are architecturally part of
-/// the in-DRAM metadata; traffic for them is charged where the paper charges
-/// it).
-#[derive(Debug, Clone, Default)]
-struct ResidentPage {
-    way: u8,
-    dirty_lines: FnvHashSet<u32>,
-    last_touch: u64,
-}
-
 /// The Banshee DRAM-cache controller.
+///
+/// Residency has one record: `metadata`'s cached entries (Figure 3) say
+/// which unit sits in which way. The rest of what a frame's tag carries
+/// lives in `frames`, one flat array of `frame_words` words per frame
+/// `set × ways + way`: the last-touch stamp (read by the LRU ablation), then
+/// a bitmap of the frame's dirty lines.
 pub struct BansheeController {
     config: BansheeConfig,
     variant: BansheeVariant,
     metadata: MetadataTable,
+    frames: Vec<u64>,
+    frame_words: usize,
     tag_buffers: Vec<TagBuffer>,
     fbr: FrequencyReplacement,
     coherence: LazyCoherence,
-    /// Ground truth: caching unit → residency info.
-    resident: FnvHashMap<u64, ResidentPage>,
-    /// Reverse of `resident` per (set, way) so victims can be located.
-    occupancy: FnvHashMap<(u64, u8), u64>,
     demand: DemandStats,
     access_clock: u64,
     // Statistics.
@@ -113,15 +104,15 @@ impl BansheeController {
         let tag_buffers = (0..config.memory_controllers)
             .map(|_| TagBuffer::new(config.tag_buffer_entries, TAG_BUFFER_WAYS, FLUSH_THRESHOLD))
             .collect();
-        let coherence = LazyCoherence::new();
+        let frame_words = 1 + config.lines_per_page().div_ceil(64) as usize;
         BansheeController {
             variant,
+            frames: vec![0; config.sets() as usize * config.ways * frame_words],
+            frame_words,
             metadata,
             tag_buffers,
             fbr,
-            coherence,
-            resident: FnvHashMap::default(),
-            occupancy: FnvHashMap::default(),
+            coherence: LazyCoherence::new(),
             demand: DemandStats::new(4096),
             access_clock: 0,
             replacements: 0,
@@ -145,17 +136,12 @@ impl BansheeController {
 
     /// Number of pages currently resident in the DRAM cache.
     pub fn resident_pages(&self) -> usize {
-        self.resident.len()
+        self.metadata.total_cached()
     }
 
     /// Number of tag-buffer flush (coherence) rounds so far.
     pub fn coherence_rounds(&self) -> u64 {
         self.coherence.flushes()
-    }
-
-    /// Mean cycles between coherence rounds.
-    pub fn mean_flush_interval(&self) -> f64 {
-        self.coherence.mean_flush_interval()
     }
 
     // ---- Address helpers -------------------------------------------------
@@ -178,9 +164,62 @@ impl BansheeController {
 
     /// The mapping the controller itself knows to be true.
     fn ground_truth(&self, unit: u64) -> PteMapInfo {
-        match self.resident.get(&unit) {
-            Some(r) => PteMapInfo::cached_in(r.way),
+        let set = self.metadata.set_of(unit);
+        match self.metadata.set(set).find_cached(unit) {
+            Some(way) => PteMapInfo::cached_in(way as u8),
             None => PteMapInfo::NOT_CACHED,
+        }
+    }
+
+    /// The state words of frame (set, way): the last-touch stamp, then the
+    /// dirty-line bitmap.
+    fn frame(&self, set: u64, way: usize) -> &[u64] {
+        let start = (set as usize * self.config.ways + way) * self.frame_words;
+        &self.frames[start..start + self.frame_words]
+    }
+
+    fn frame_mut(&mut self, set: u64, way: usize) -> &mut [u64] {
+        let start = (set as usize * self.config.ways + way) * self.frame_words;
+        &mut self.frames[start..start + self.frame_words]
+    }
+
+    /// The state words of the frame holding `unit`, if it is resident.
+    fn resident_frame_mut(&mut self, set: u64, unit: u64) -> Option<&mut [u64]> {
+        let way = self.metadata.set(set).find_cached(unit)?;
+        Some(self.frame_mut(set, way))
+    }
+
+    /// Every occupied frame as (set, way, unit), in (set, way) order.
+    fn occupied_frames(&self) -> Vec<(u64, usize, u64)> {
+        (0..self.metadata.num_sets())
+            .flat_map(|set| {
+                let cached = &self.metadata.set(set).cached;
+                cached
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, e)| e.valid)
+                    .map(move |(way, e)| (set, way, e.unit))
+            })
+            .collect()
+    }
+
+    /// Reject an image entry placing `unit` at (set, way) unless the
+    /// metadata holds it there.
+    fn check_occupant(&self, set: u64, way: usize, unit: u64) -> Result<(), SnapshotError> {
+        let held = set < self.metadata.num_sets()
+            && self
+                .metadata
+                .set(set)
+                .cached
+                .get(way)
+                .is_some_and(|e| e.valid && e.unit == unit);
+        if held {
+            Ok(())
+        } else {
+            Err(SnapshotError::Corrupt(format!(
+                "banshee image places unit {unit} in set {set} way {way}, \
+                 which its metadata does not"
+            )))
         }
     }
 
@@ -250,37 +289,36 @@ impl BansheeController {
         }
     }
 
-    /// Move `unit` into the DRAM cache at (set, way), evicting whatever is
-    /// there, and charge the replacement traffic (Section 4.2.2).
+    /// Move `req`'s `unit` into way `way` of its set, evicting `victim`, the
+    /// unit the way held before the metadata was rewritten, and charge the
+    /// replacement traffic (Section 4.2.2).
     fn perform_replacement(
         &mut self,
+        req: &MemRequest,
         unit: u64,
-        set: u64,
-        way: u8,
-        write_line: Option<u32>,
+        way: usize,
+        victim: Option<u64>,
         now: Cycle,
         plan: &mut PlanSink,
     ) {
         self.replacements += 1;
+        let set = self.metadata.set_of(unit);
 
-        // Evict the current occupant of (set, way), if any.
-        if let Some(victim_unit) = self.occupancy.remove(&(set, way)) {
-            if let Some(victim) = self.resident.remove(&victim_unit) {
-                let dirty = victim.dirty_lines.len() as u64;
-                if dirty > 0 {
-                    // Dirty victim lines: read from the cache, write back to
-                    // off-package DRAM.
-                    plan.background.push(DramOp::in_package(
-                        self.data_addr(set, way, 0),
-                        dirty * CACHE_LINE_SIZE,
-                        TrafficClass::Replacement,
-                    ));
-                    plan.background.push(DramOp::off_package_write(
-                        Addr::new(victim_unit * self.config.page_bytes),
-                        dirty * CACHE_LINE_SIZE,
-                        TrafficClass::Writeback,
-                    ));
-                }
+        if let Some(victim_unit) = victim {
+            let dirty = dirty_count(self.frame(set, way));
+            if dirty > 0 {
+                // Dirty victim lines: read from the cache, write back to
+                // off-package DRAM.
+                plan.background.push(DramOp::in_package(
+                    self.data_addr(set, way as u8, 0),
+                    dirty * CACHE_LINE_SIZE,
+                    TrafficClass::Replacement,
+                ));
+                plan.background.push(DramOp::off_package_write(
+                    Addr::new(victim_unit * self.config.page_bytes),
+                    dirty * CACHE_LINE_SIZE,
+                    TrafficClass::Writeback,
+                ));
             }
             self.record_remap(victim_unit, PteMapInfo::NOT_CACHED, now, plan);
         }
@@ -294,25 +332,19 @@ impl BansheeController {
             TrafficClass::Replacement,
         ));
         plan.background.push(DramOp::in_package_write(
-            self.data_addr(set, way, 0),
+            self.data_addr(set, way as u8, 0),
             self.config.page_bytes,
             TrafficClass::Replacement,
         ));
 
-        let mut dirty_lines = FnvHashSet::default();
-        if let Some(line) = write_line {
-            dirty_lines.insert(line);
+        let (clock, line) = (self.access_clock, self.line_index(req.addr));
+        let frame = self.frame_mut(set, way);
+        frame.fill(0);
+        frame[0] = clock;
+        if req.write {
+            mark_dirty(frame, line);
         }
-        self.resident.insert(
-            unit,
-            ResidentPage {
-                way,
-                dirty_lines,
-                last_touch: self.access_clock,
-            },
-        );
-        self.occupancy.insert((set, way), unit);
-        self.record_remap(unit, PteMapInfo::cached_in(way), now, plan);
+        self.record_remap(unit, PteMapInfo::cached_in(way as u8), now, plan);
     }
 
     /// The frequency-based replacement path shared by the Standard and
@@ -345,17 +377,7 @@ impl BansheeController {
         }
 
         if let FbrDecision::Replace { way, victim } = decision {
-            debug_assert_eq!(
-                victim,
-                self.occupancy.get(&(set, way as u8)).copied(),
-                "metadata and residency map disagree about the victim"
-            );
-            let write_line = if req.write {
-                Some(self.line_index(req.addr))
-            } else {
-                None
-            };
-            self.perform_replacement(unit, set, way as u8, write_line, now, plan);
+            self.perform_replacement(req, unit, way, victim, now, plan);
         }
     }
 
@@ -385,46 +407,46 @@ impl BansheeController {
         if hit {
             return;
         }
-        // Pick the LRU way of this set (free ways first).
-        let mut victim_way: Option<u8> = None;
-        let mut oldest = u64::MAX;
-        for way in 0..self.config.ways as u8 {
-            match self.occupancy.get(&(set, way)) {
-                None => {
-                    victim_way = Some(way);
-                    break;
-                }
-                Some(u) => {
-                    let touch = self.resident.get(u).map(|r| r.last_touch).unwrap_or(0);
-                    if touch < oldest {
-                        oldest = touch;
-                        victim_way = Some(way);
-                    }
-                }
-            }
-        }
-        let way = victim_way.unwrap_or(0);
-        let write_line = if req.write {
-            Some(self.line_index(req.addr))
-        } else {
-            None
-        };
-        // Keep the metadata table coherent with the residency map so that
-        // the two views never diverge (it is unused for the LRU policy's
-        // decisions but still backs tag probes).
-        let set_meta = self.metadata.set_mut(set);
-        if let Some(prev) = self.occupancy.get(&(set, way)) {
-            if let Some(slot) = set_meta.find_cached(*prev) {
-                set_meta.cached[slot] = MetadataEntry::INVALID;
-            }
-        }
-        set_meta.cached[way as usize] = MetadataEntry {
+        // Pick the LRU way of this set (free ways first), then read its
+        // occupant before the metadata entry is overwritten (the table still
+        // backs tag probes and the unit → way lookup).
+        let way = self.metadata.set(set).free_way().unwrap_or_else(|| {
+            (0..self.config.ways)
+                .min_by_key(|&way| self.frame(set, way)[0])
+                .unwrap_or(0)
+        });
+        let entry = &mut self.metadata.set_mut(set).cached[way];
+        let victim = entry.valid.then_some(entry.unit);
+        *entry = MetadataEntry {
             unit,
             count: 1,
             valid: true,
         };
-        self.perform_replacement(unit, set, way, write_line, now, plan);
+        self.perform_replacement(req, unit, way, victim, now, plan);
     }
+}
+
+/// Mark `line` dirty in a frame's state words.
+fn mark_dirty(frame: &mut [u64], line: u32) {
+    frame[1 + line as usize / 64] |= 1 << (line % 64);
+}
+
+/// Number of dirty lines in a frame's state words.
+fn dirty_count(frame: &[u64]) -> u64 {
+    frame[1..].iter().map(|w| u64::from(w.count_ones())).sum()
+}
+
+/// The dirty lines of a frame's state words, in ascending order.
+fn dirty_lines(frame: &[u64]) -> Vec<u32> {
+    let mut lines = Vec::new();
+    for (i, &word) in frame[1..].iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            lines.push(i as u32 * 64 + bits.trailing_zeros());
+            bits &= bits - 1;
+        }
+    }
+    lines
 }
 
 impl DramCacheController for BansheeController {
@@ -454,11 +476,11 @@ impl DramCacheController for BansheeController {
                 self.demand.record(hit);
 
                 if hit {
-                    let way = mapping.way;
-                    if let Some(r) = self.resident.get_mut(&unit) {
-                        r.last_touch = self.access_clock;
+                    let (way, clock) = (mapping.way, self.access_clock);
+                    if let Some(frame) = self.resident_frame_mut(set, unit) {
+                        frame[0] = clock;
                         if req.write {
-                            r.dirty_lines.insert(line);
+                            mark_dirty(frame, line);
                         }
                     }
                     plan.critical.push(DramOp::in_package(
@@ -488,8 +510,8 @@ impl DramCacheController for BansheeController {
             RequestKind::Writeback => {
                 if mapping.cached {
                     let way = mapping.way;
-                    if let Some(r) = self.resident.get_mut(&unit) {
-                        r.dirty_lines.insert(line);
+                    if let Some(frame) = self.resident_frame_mut(set, unit) {
+                        mark_dirty(frame, line);
                     }
                     plan.background.push(DramOp::in_package_write(
                         self.data_addr(set, way, self.config.unit_offset(req.addr)),
@@ -513,10 +535,6 @@ impl DramCacheController for BansheeController {
         self.ground_truth(page.raw())
     }
 
-    fn miss_rate(&self) -> f64 {
-        self.demand.miss_rate()
-    }
-
     fn demand_stats(&self) -> (u64, u64) {
         self.demand.totals()
     }
@@ -532,7 +550,7 @@ impl DramCacheController for BansheeController {
         s.add("banshee_tag_buffer_flushes", self.coherence.flushes());
         s.add("banshee_pte_updates", self.coherence.pte_updates());
         s.add("banshee_set_full_flushes", self.set_full_flushes);
-        s.add("banshee_resident_pages", self.resident.len() as u64);
+        s.add("banshee_resident_pages", self.resident_pages() as u64);
         let tb_lookups: u64 = self.tag_buffers.iter().map(|t| t.lookups()).sum();
         let tb_hits: u64 = self.tag_buffers.iter().map(|t| t.hits()).sum();
         s.add("banshee_tag_buffer_lookups", tb_lookups);
@@ -558,7 +576,7 @@ impl DramCacheController for BansheeController {
                 .sum(),
         ));
         out.push(("fbr_threshold", self.fbr.threshold()));
-        out.push(("resident_pages", self.resident.len() as f64));
+        out.push(("resident_pages", self.resident_pages() as f64));
         out.push(("recent_miss_rate", self.demand.recent_miss_rate()));
         // Cumulative gauges: the series shows when maintenance happened as
         // the sample-to-sample increase.
@@ -577,25 +595,23 @@ impl DramCacheController for BansheeController {
         w.seq(self.tag_buffers.iter());
         self.fbr.save(w);
         self.coherence.save(w);
-        // `resident` and `occupancy` are only ever probed by key (never
-        // iterated), so sorted encodings are canonical; the per-page dirty
-        // sets are only counted, so they sort too.
-        let mut resident: Vec<(&u64, &ResidentPage)> = self.resident.iter().collect();
-        resident.sort_unstable_by_key(|(unit, _)| **unit);
-        w.seq_with(&resident, |w, (unit, r)| {
-            w.u64(**unit);
-            w.u8(r.way);
-            w.u64(r.last_touch);
-            let mut lines: Vec<u32> = r.dirty_lines.iter().copied().collect();
-            lines.sort_unstable();
-            w.seq_with(&lines, |w, line| w.u32(*line));
+        // Two sections restate the metadata's residency, derived from it:
+        // the resident units in ascending order with their frame state, then
+        // the occupied (set, way) pairs in order.
+        let occupied = self.occupied_frames();
+        let mut resident = occupied.clone();
+        resident.sort_unstable_by_key(|&(_, _, unit)| unit);
+        w.seq_with(&resident, |w, &(set, way, unit)| {
+            let frame = self.frame(set, way);
+            w.u64(unit);
+            w.u8(way as u8);
+            w.u64(frame[0]);
+            w.seq_with(&dirty_lines(frame), |w, line| w.u32(*line));
         });
-        let mut occupancy: Vec<(&(u64, u8), &u64)> = self.occupancy.iter().collect();
-        occupancy.sort_unstable_by_key(|((set, way), _)| (*set, *way));
-        w.seq_with(&occupancy, |w, ((set, way), unit)| {
-            w.u64(*set);
-            w.u8(*way);
-            w.u64(**unit);
+        w.seq_with(&occupied, |w, &(set, way, unit)| {
+            w.u64(set);
+            w.u8(way as u8);
+            w.u64(unit);
         });
         self.demand.save(w);
         w.u64(self.access_clock);
@@ -608,11 +624,15 @@ impl DramCacheController for BansheeController {
 
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         let metadata = MetadataTable::restore(r)?;
-        if metadata.num_sets() != self.metadata.num_sets() {
+        let geometry = |m: &MetadataTable| {
+            let set = m.set(0);
+            (m.num_sets(), set.cached.len(), set.candidates.len())
+        };
+        if geometry(&metadata) != geometry(&self.metadata) {
             return Err(SnapshotError::Corrupt(format!(
-                "banshee image has {} metadata sets, controller has {}",
-                metadata.num_sets(),
-                self.metadata.num_sets()
+                "banshee image has (sets, ways, candidates) {:?}, controller has {:?}",
+                geometry(&metadata),
+                geometry(&self.metadata)
             )));
         }
         self.metadata = metadata;
@@ -627,53 +647,57 @@ impl DramCacheController for BansheeController {
         self.tag_buffers = tag_buffers;
         self.fbr = FrequencyReplacement::restore(r)?;
         self.coherence = LazyCoherence::restore(r)?;
+        // Both residency sections must list every cached metadata entry
+        // exactly once, in the order `save_state` writes them.
+        let cached = self.metadata.total_cached();
         let resident_len = r.seq_len(25)?;
-        self.resident.clear();
+        if resident_len != cached {
+            return Err(SnapshotError::Corrupt(format!(
+                "banshee image lists {resident_len} resident units, its metadata {cached}"
+            )));
+        }
+        self.frames.fill(0);
+        let mut prev_unit = None;
         for _ in 0..resident_len {
             let unit = r.u64()?;
-            let way = r.u8()?;
-            let last_touch = r.u64()?;
-            let line_count = r.seq_len(4)?;
-            let mut dirty_lines = FnvHashSet::default();
-            for _ in 0..line_count {
-                dirty_lines.insert(r.u32()?);
-            }
-            let prev = self.resident.insert(
-                unit,
-                ResidentPage {
-                    way,
-                    dirty_lines,
-                    last_touch,
-                },
-            );
-            if prev.is_some() {
+            let way = r.u8()? as usize;
+            let set = self.metadata.set_of(unit);
+            if prev_unit >= Some(unit) {
                 return Err(SnapshotError::Corrupt(format!(
-                    "duplicate resident unit {unit}"
+                    "banshee resident unit {unit} is out of order"
                 )));
+            }
+            prev_unit = Some(unit);
+            self.check_occupant(set, way, unit)?;
+            let lines = self.config.lines_per_page();
+            let frame = self.frame_mut(set, way);
+            frame[0] = r.u64()?;
+            for _ in 0..r.seq_len(4)? {
+                let line = r.u32()?;
+                if u64::from(line) >= lines {
+                    return Err(SnapshotError::Corrupt(format!(
+                        "banshee unit {unit} has dirty line {line} of {lines}"
+                    )));
+                }
+                mark_dirty(frame, line);
             }
         }
         let occupancy_len = r.seq_len(17)?;
-        if occupancy_len != resident_len {
+        if occupancy_len != cached {
             return Err(SnapshotError::Corrupt(format!(
-                "banshee occupancy holds {occupancy_len} entries but residency \
-                 holds {resident_len}"
+                "banshee image lists {occupancy_len} occupied ways, its metadata {cached}"
             )));
         }
-        self.occupancy.clear();
+        let mut prev_frame = None;
         for _ in 0..occupancy_len {
-            let set = r.u64()?;
-            let way = r.u8()?;
-            let unit = r.u64()?;
-            if !self.resident.contains_key(&unit) {
+            let (set, way, unit) = (r.u64()?, r.u8()? as usize, r.u64()?);
+            if prev_frame >= Some((set, way)) {
                 return Err(SnapshotError::Corrupt(format!(
-                    "occupancy references non-resident unit {unit}"
+                    "banshee occupancy entry for set {set} way {way} is out of order"
                 )));
             }
-            if self.occupancy.insert((set, way), unit).is_some() {
-                return Err(SnapshotError::Corrupt(format!(
-                    "duplicate occupancy entry for set {set} way {way}"
-                )));
-            }
+            prev_frame = Some((set, way));
+            self.check_occupant(set, way, unit)?;
         }
         self.demand = DemandStats::restore(r)?;
         self.access_clock = r.u64()?;
@@ -690,7 +714,7 @@ impl std::fmt::Debug for BansheeController {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BansheeController")
             .field("variant", &self.variant)
-            .field("resident_pages", &self.resident.len())
+            .field("resident_pages", &self.resident_pages())
             .field("replacements", &self.replacements)
             .finish_non_exhaustive()
     }
@@ -700,6 +724,7 @@ impl std::fmt::Debug for BansheeController {
 mod tests {
     use super::*;
     use banshee_common::{DramKind, MemSize};
+    use proptest::prelude::*;
 
     fn small_config() -> BansheeConfig {
         BansheeConfig {
@@ -798,6 +823,31 @@ mod tests {
         // Every miss fills a page: 8 misses × (4 KiB read + 4 KiB write).
         assert_eq!(replacement_bytes, 8 * 2 * 4096);
         assert!(c.resident_pages() > 0);
+    }
+
+    #[test]
+    fn lru_variant_evicts_the_least_recent_page_and_refills_clean() {
+        let cfg = BansheeConfig {
+            capacity: MemSize::kib(16), // 4 pages, 1 set
+            tag_buffer_entries: 64,
+            ..BansheeConfig::paper_default()
+        };
+        let mut c = BansheeController::with_variant(cfg, BansheeVariant::Lru);
+        let addr = |p: u64| PageNum::new(p).line_at(0).base_addr();
+        // Pages 0-3 fill the set, each with line 0 dirty; then page 0 is
+        // touched again, so page 1 is the least recent.
+        for p in 0..4 {
+            demand(&mut c, addr(p), true);
+        }
+        assert!(demand(&mut c, addr(0), false).dram_cache_hit);
+        // Each miss evicts the least recent page: 1, 2, 3, 0 carry one dirty
+        // line each; page 4 was filled by a read, so it leaves clean.
+        for (p, victim, writeback) in [(4, 1, 64), (5, 2, 64), (6, 3, 64), (7, 0, 64), (8, 4, 0)] {
+            let plan = demand(&mut c, addr(p), false);
+            assert_eq!(plan.bytes_of_class(TrafficClass::Writeback), writeback);
+            assert!(!c.current_mapping(PageNum::new(victim)).cached);
+            assert!(c.current_mapping(PageNum::new(p)).cached);
+        }
     }
 
     #[test]
@@ -946,6 +996,196 @@ mod tests {
         if c.resident_pages() == 1 {
             // One promotion of a 2 MiB unit: 2 MiB read + 2 MiB write.
             assert_eq!(replacement, 2 * 2 * 1024 * 1024);
+        }
+    }
+
+    fn image(c: &BansheeController) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        c.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    fn restore(c: &mut BansheeController, image: &[u8]) -> Result<(), SnapshotError> {
+        c.load_state(&mut SnapshotReader::new(image))
+    }
+
+    /// A resident entry of the image: unit, way, last touch, dirty lines.
+    type ResidentEntry = (u64, u8, u64, Vec<u32>);
+
+    /// A controller image split around its two residency sections, which
+    /// are decoded so a test can edit them and re-encode the image.
+    struct Sections {
+        head: Vec<u8>,
+        resident: Vec<ResidentEntry>,
+        occupancy: Vec<(u64, u8, u64)>,
+        tail: Vec<u8>,
+    }
+
+    impl Sections {
+        fn split(image: &[u8]) -> Sections {
+            let mut r = SnapshotReader::new(image);
+            MetadataTable::restore(&mut r).unwrap();
+            r.seq::<TagBuffer>(64).unwrap();
+            FrequencyReplacement::restore(&mut r).unwrap();
+            LazyCoherence::restore(&mut r).unwrap();
+            let head = image[..image.len() - r.remaining()].to_vec();
+            let resident = (0..r.seq_len(25).unwrap())
+                .map(|_| {
+                    let (unit, way, touch) = (r.u64().unwrap(), r.u8().unwrap(), r.u64().unwrap());
+                    let lines = r.seq::<u32>(4).unwrap();
+                    (unit, way, touch, lines)
+                })
+                .collect();
+            let occupancy = (0..r.seq_len(17).unwrap())
+                .map(|_| (r.u64().unwrap(), r.u8().unwrap(), r.u64().unwrap()))
+                .collect();
+            let tail = image[image.len() - r.remaining()..].to_vec();
+            Sections {
+                head,
+                resident,
+                occupancy,
+                tail,
+            }
+        }
+
+        fn join(&self) -> Vec<u8> {
+            let mut w = SnapshotWriter::new();
+            w.seq_with(&self.resident, |w, (unit, way, touch, lines)| {
+                w.u64(*unit);
+                w.u8(*way);
+                w.u64(*touch);
+                w.seq(lines.iter());
+            });
+            w.seq_with(&self.occupancy, |w, &(set, way, unit)| {
+                w.u64(set);
+                w.u8(way);
+                w.u64(unit);
+            });
+            [self.head.clone(), w.into_bytes(), self.tail.clone()].concat()
+        }
+    }
+
+    #[test]
+    fn restore_rejects_residency_that_disagrees_with_metadata() {
+        let mut c = BansheeController::with_variant(small_config(), BansheeVariant::FbrNoSample);
+        for p in 0..8u64 {
+            for i in 0..64u64 {
+                demand(&mut c, PageNum::new(p).line_at(i).base_addr(), i % 9 == 0);
+            }
+        }
+        assert!(c.resident_pages() >= 2, "the image needs resident pages");
+        let good = image(&c);
+        let sections = Sections::split(&good);
+        assert_eq!(sections.join(), good, "the test's own re-encoding");
+        assert!(!sections.resident[0].3.is_empty(), "a dirty resident unit");
+        let mut fresh =
+            BansheeController::with_variant(small_config(), BansheeVariant::FbrNoSample);
+        restore(&mut fresh, &good).expect("an intact image restores");
+        assert_eq!(image(&fresh), good);
+
+        // `small_config` has 4 sets and 64 lines per unit.
+        type Edit = (&'static str, fn(&mut Sections));
+        let edits: [Edit; 4] = [
+            ("a resident unit's way flipped", |s| s.resident[0].1 ^= 1),
+            ("an occupancy entry moved to another set", |s| {
+                s.occupancy[0].0 ^= 1
+            }),
+            ("a listed unit dropped from both sections", |s| {
+                let (unit, ..) = s.resident.remove(0);
+                s.occupancy.retain(|&(_, _, u)| u != unit);
+            }),
+            ("a dirty line past the unit", |s| s.resident[0].3.push(64)),
+        ];
+        for (what, edit) in edits {
+            let mut bad = Sections::split(&good);
+            edit(&mut bad);
+            let mut fresh =
+                BansheeController::with_variant(small_config(), BansheeVariant::FbrNoSample);
+            let outcome = restore(&mut fresh, &bad.join());
+            assert!(
+                matches!(outcome, Err(SnapshotError::Corrupt(_))),
+                "{what}: restore returned {outcome:?}"
+            );
+        }
+        // Four sets of 8 ways: the set count matches, the ways do not.
+        let eight_ways = BansheeConfig {
+            capacity: MemSize::kib(128),
+            ways: 8,
+            ..small_config()
+        };
+        let outcome = restore(&mut BansheeController::new(eight_ways), &good);
+        assert!(
+            matches!(outcome, Err(SnapshotError::Corrupt(_))),
+            "{outcome:?}"
+        );
+    }
+
+    fn churn_config(large_pages: bool) -> BansheeConfig {
+        let cfg = BansheeConfig {
+            capacity: if large_pages {
+                MemSize::mib(16) // 8 frames, 2 sets x 4 ways
+            } else {
+                MemSize::kib(64) // 16 frames, 4 sets x 4 ways
+            },
+            tag_buffer_entries: 16,
+            ..BansheeConfig::paper_default()
+        };
+        if large_pages {
+            cfg.for_large_pages()
+        } else {
+            cfg
+        }
+    }
+
+    /// One step of a random request stream: the unit, the line within it,
+    /// a store flag, and a kind that makes one request in four a (hint-less)
+    /// writeback. Returns the plan, printed.
+    fn churn_step(c: &mut BansheeController, step: (u64, u64, bool, u8)) -> String {
+        let (unit, line, write, kind) = step;
+        let lines = c.config().lines_per_page();
+        let addr = Addr::new(unit * c.config().page_bytes + (line % lines) * 64);
+        let req = if kind == 0 {
+            MemRequest::writeback(addr, 0)
+        } else {
+            let hint = c.ground_truth(unit);
+            let req = MemRequest::demand(addr, 0).with_hint(hint);
+            if write {
+                req.as_store()
+            } else {
+                req
+            }
+        };
+        format!("{:?}", c.access_collected(&req, 0))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// A controller restored from a mid-stream image behaves exactly like
+        /// the one that wrote it: equal plans and equal images to the end.
+        #[test]
+        fn prop_restored_controller_tracks_the_original(
+            lru in any::<bool>(),
+            large_pages in any::<bool>(),
+            stream in proptest::collection::vec(
+                (0u64..48, 0u64..1 << 15, any::<bool>(), 0u8..4),
+                2..300,
+            ),
+        ) {
+            let variant = if lru { BansheeVariant::Lru } else { BansheeVariant::FbrNoSample };
+            let cfg = churn_config(large_pages);
+            let mut original = BansheeController::with_variant(cfg.clone(), variant);
+            let (first, second) = stream.split_at(stream.len() / 2);
+            for &step in first {
+                churn_step(&mut original, step);
+            }
+            let mut restored = BansheeController::with_variant(cfg, variant);
+            prop_assert!(restore(&mut restored, &image(&original)).is_ok());
+            prop_assert_eq!(image(&restored), image(&original));
+            for &step in second {
+                prop_assert_eq!(churn_step(&mut restored, step), churn_step(&mut original, step));
+                prop_assert_eq!(image(&restored), image(&original));
+            }
         }
     }
 }

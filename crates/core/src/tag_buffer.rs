@@ -203,20 +203,7 @@ impl TagBuffer {
             return self.post_insert_outcome();
         }
 
-        // Otherwise allocate: prefer an invalid slot, then the LRU among
-        // non-remap entries. Remap entries are never victims.
-        let victim = {
-            let set_slots = &self.sets[set];
-            set_slots.iter().position(|s| !s.valid).or_else(|| {
-                set_slots
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| !s.remap)
-                    .min_by_key(|(_, s)| s.touched)
-                    .map(|(i, _)| i)
-            })
-        };
-        let Some(victim) = victim else {
+        let Some(victim) = self.victim_slot(set) else {
             return InsertOutcome::SetFull;
         };
         self.sets[set][victim] = Slot {
@@ -228,6 +215,20 @@ impl TagBuffer {
         };
         self.remap_entries += 1;
         self.post_insert_outcome()
+    }
+
+    /// The slot a new entry takes in `set`: an invalid slot first, else the
+    /// LRU among non-remap entries. Remap entries are never victims.
+    fn victim_slot(&self, set: usize) -> Option<usize> {
+        let slots = &self.sets[set];
+        slots.iter().position(|s| !s.valid).or_else(|| {
+            slots
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| !s.remap)
+                .min_by_key(|(_, s)| s.touched)
+                .map(|(i, _)| i)
+        })
     }
 
     fn post_insert_outcome(&self) -> InsertOutcome {
@@ -258,18 +259,7 @@ impl TagBuffer {
             }
             return;
         }
-        let victim = {
-            let set_slots = &self.sets[set];
-            set_slots.iter().position(|s| !s.valid).or_else(|| {
-                set_slots
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| !s.remap)
-                    .min_by_key(|(_, s)| s.touched)
-                    .map(|(i, _)| i)
-            })
-        };
-        if let Some(victim) = victim {
+        if let Some(victim) = self.victim_slot(set) {
             self.sets[set][victim] = Slot {
                 valid: true,
                 remap: false,

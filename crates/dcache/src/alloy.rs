@@ -223,10 +223,6 @@ impl DramCacheController for AlloyCache {
         }
     }
 
-    fn miss_rate(&self) -> f64 {
-        self.demand.miss_rate()
-    }
-
     fn demand_stats(&self) -> (u64, u64) {
         self.demand.totals()
     }

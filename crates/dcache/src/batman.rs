@@ -121,19 +121,8 @@ impl DramCacheController for Batman {
         self.inner.current_mapping(page)
     }
 
-    fn miss_rate(&self) -> f64 {
-        // Bypassed accesses count as DRAM-cache misses for reporting.
-        let (inner_acc, inner_miss) = self.inner.demand_stats();
-        let acc = inner_acc + self.bypassed_accesses;
-        let miss = inner_miss + self.bypassed_accesses;
-        if acc == 0 {
-            0.0
-        } else {
-            miss as f64 / acc as f64
-        }
-    }
-
     fn demand_stats(&self) -> (u64, u64) {
+        // Bypassed accesses count as DRAM-cache misses for reporting.
         let (a, m) = self.inner.demand_stats();
         (a + self.bypassed_accesses, m + self.bypassed_accesses)
     }

@@ -46,10 +46,6 @@ impl DramCacheController for NoCache {
         }
     }
 
-    fn miss_rate(&self) -> f64 {
-        self.demand.miss_rate()
-    }
-
     fn demand_stats(&self) -> (u64, u64) {
         self.demand.totals()
     }

@@ -258,10 +258,6 @@ impl DramCacheController for Tdc {
         }
     }
 
-    fn miss_rate(&self) -> f64 {
-        self.demand.miss_rate()
-    }
-
     fn demand_stats(&self) -> (u64, u64) {
         self.demand.totals()
     }

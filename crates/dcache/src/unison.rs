@@ -213,10 +213,6 @@ impl DramCacheController for UnisonCache {
         }
     }
 
-    fn miss_rate(&self) -> f64 {
-        self.demand.miss_rate()
-    }
-
     fn demand_stats(&self) -> (u64, u64) {
         self.demand.totals()
     }

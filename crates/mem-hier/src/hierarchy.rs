@@ -26,6 +26,10 @@ pub enum HitLevel {
 }
 
 /// Configuration of the SRAM hierarchy.
+///
+/// The three `*_latency` fields record Table 2 but nothing charges them: the
+/// system simulator charges its own L2 and LLC hit penalties. They stay
+/// because `SimConfig`'s store key and warmed images include them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HierarchyConfig {
     /// Number of cores (each gets a private L1D and L2).
@@ -85,9 +89,6 @@ impl HierarchyConfig {
 pub struct HierarchyOutcome {
     /// The level that hit, or `None` for an LLC miss that must go to memory.
     pub hit: Option<HitLevel>,
-    /// SRAM lookup latency accumulated on the path (up to and including the
-    /// level that hit, or the full path for a miss).
-    pub latency: Cycle,
     /// Dirty lines that fell out of the LLC (or were orphaned from private
     /// caches) and must be written back to memory by the memory controller.
     pub memory_writebacks: Vec<LineAddr>,
@@ -168,7 +169,6 @@ impl CacheHierarchy {
     /// Perform one access from `core` to `line`.
     pub fn access(&mut self, core: usize, line: LineAddr, write: bool) -> HierarchyOutcome {
         assert!(core < self.config.cores, "core index out of range");
-        let mut latency = self.config.l1_latency;
         let mut memory_writebacks = Vec::new();
 
         // L1.
@@ -176,7 +176,6 @@ impl CacheHierarchy {
         if l1_res.hit {
             return HierarchyOutcome {
                 hit: Some(HitLevel::L1),
-                latency,
                 memory_writebacks,
             };
         }
@@ -191,12 +190,10 @@ impl CacheHierarchy {
         }
 
         // L2.
-        latency += self.config.l2_latency;
         let l2_res = self.l2[core].access(line, write);
         if l2_res.hit {
             return HierarchyOutcome {
                 hit: Some(HitLevel::L2),
-                latency,
                 memory_writebacks,
             };
         }
@@ -207,7 +204,6 @@ impl CacheHierarchy {
         }
 
         // LLC.
-        latency += self.config.llc_latency;
         self.llc_accesses += 1;
         let llc_res = self.llc.access(line, write);
         // The slot's presence mask still describes the *previous* occupant
@@ -229,7 +225,6 @@ impl CacheHierarchy {
             self.llc_presence[llc_res.slot] |= 1u64 << core;
             return HierarchyOutcome {
                 hit: Some(HitLevel::Llc),
-                latency,
                 memory_writebacks,
             };
         }
@@ -239,7 +234,6 @@ impl CacheHierarchy {
         self.llc_misses += 1;
         HierarchyOutcome {
             hit: None,
-            latency,
             memory_writebacks,
         }
     }
@@ -422,14 +416,8 @@ mod tests {
         let line = LineAddr::new(1000);
         let first = h.access(0, line, false);
         assert!(first.is_llc_miss());
-        assert_eq!(
-            first.latency,
-            4 + 12 + 35,
-            "miss latency should accumulate all three levels"
-        );
         let second = h.access(0, line, false);
         assert_eq!(second.hit, Some(HitLevel::L1));
-        assert_eq!(second.latency, 4);
     }
 
     #[test]
